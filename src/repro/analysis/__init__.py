@@ -1,6 +1,6 @@
 """adalint: domain-aware static analysis for the AdaPipe reproduction.
 
-An AST-based lint framework plus seven rules proving, on every file at
+An AST-based lint framework plus six rules proving, on every file at
 every CI run, the invariants the repo's correctness rests on but no test
 suite can exhaustively cover.
 
@@ -26,13 +26,15 @@ import graph (:mod:`repro.analysis.project`), call graph
 (:mod:`repro.analysis.callgraph`) and read-set/purity dataflow
 (:mod:`repro.analysis.dataflow`):
 
-* **registry-completeness** — every member of a contracted registry
-  (``SCHEDULE_KINDS``, ``TaskKind``, experiments, baseline methods,
-  robustness engines) appears at each declared registration site;
 * **transform-purity** — nothing reachable from the §9 duration
   transforms mutates arguments, writes module state, or performs I/O;
 * **float-order-divergence** — the paired lowering expressions the
   tri-engine bit-equivalence rests on share one canonical op order.
+
+Registries need no rule: every schedule-kind site reads the one
+schedule-family table (:mod:`repro.pipeline.schedules.families`), and
+:mod:`repro.analysis.docs_sync` imports the experiment, method, engine
+and rule registries to check that the docs name every member.
 
 Entry points: ``adapipe lint`` (CLI; text/JSON/SARIF reporters), checks
 9 and 12 of ``adapipe validate``, and :func:`run_lint` for programmatic

@@ -2,16 +2,14 @@
 
 The PR-5 rules were strictly file-local: each ``check()`` saw one parsed
 module and could at best pull in other files by exact path. The
-interprocedural rule families (registry-completeness, digest-coverage v2,
-transform-purity, float-order-divergence) need to answer *project-level*
-questions — which function does this call resolve to, which dataclass
-fields does this function transitively read, which module-level registry
-is this string inserted into. :class:`ProjectIndex` is the substrate they
+interprocedural rule families (digest-coverage v2, transform-purity,
+float-order-divergence) need to answer *project-level* questions — which
+function does this call resolve to, which dataclass fields does this
+function transitively read. :class:`ProjectIndex` is the substrate they
 share: one pass over every ``.py`` file under a tree root building
 
 * a **symbol table** per module — functions (qualified ``Class.method``
-  names), classes with their dataclass fields, and module-level
-  registries (tuples/lists/dicts of string constants, and enum classes);
+  names) and classes with their dataclass fields;
 * an **import graph** — per-module alias tables mapping local names to
   canonical dotted targets, plus suffix-tolerant module resolution so the
   same machinery works on the real tree (``repro.pipeline.tasks``) and on
@@ -37,13 +35,11 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "ProjectIndex",
-    "RegistryMember",
     "build_project",
     "dotted_name_of",
     "find_class",
     "find_function",
     "import_aliases",
-    "registry_members",
 ]
 
 
@@ -67,20 +63,6 @@ class FunctionInfo:
     def key(self) -> Tuple[str, str]:
         """Stable project-wide identity: (module relpath, qualname)."""
         return (self.module.relpath, self.qualname)
-
-
-@dataclass(frozen=True)
-class RegistryMember:
-    """One member of a module-level registry.
-
-    ``name`` is the symbolic identity (enum member name, or the string
-    itself for string registries) and ``value`` the string payload sites
-    match against (enum member value, tuple element, dict key).
-    """
-
-    name: str
-    value: str
-    line: int
 
 
 def dotted_name_of(relpath: str) -> str:
@@ -143,78 +125,6 @@ def find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == name:
             return node
-    return None
-
-
-def _string_members(node: ast.expr) -> Optional[List[RegistryMember]]:
-    """Members of a tuple/list-of-strings or string-keyed dict literal."""
-    if isinstance(node, (ast.Tuple, ast.List)):
-        members = []
-        for element in node.elts:
-            if not (isinstance(element, ast.Constant) and isinstance(element.value, str)):
-                return None
-            members.append(RegistryMember(element.value, element.value, element.lineno))
-        return members
-    if isinstance(node, ast.Dict):
-        members = []
-        for key in node.keys:
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                return None
-            members.append(RegistryMember(key.value, key.value, key.lineno))
-        return members
-    return None
-
-
-def registry_members(
-    module: SourceModule, symbol: str
-) -> Optional[List[RegistryMember]]:
-    """The statically-evident members of a module-level registry.
-
-    Three declaration shapes are understood, covering every registry the
-    repo declares today:
-
-    * ``SYMBOL = ("a", "b", ...)`` — tuple/list of string constants;
-    * ``SYMBOL = {"a": ..., ...}`` — dict with string keys (the
-      experiment and method registries);
-    * ``class SYMBOL(enum.Enum)`` — enum members, ``name``/``value`` as
-      declared (:class:`~repro.pipeline.tasks.TaskKind`).
-
-    Returns ``None`` when the symbol is absent or its members cannot be
-    read off the AST — callers treat that as a broken contract, never as
-    an empty registry.
-    """
-    for stmt in module.tree.body:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if (
-            target is not None
-            and isinstance(target, ast.Name)
-            and target.id == symbol
-            and value is not None
-        ):
-            return _string_members(value)
-        if isinstance(stmt, ast.ClassDef) and stmt.name == symbol:
-            members = []
-            for body_stmt in stmt.body:
-                if (
-                    isinstance(body_stmt, ast.Assign)
-                    and len(body_stmt.targets) == 1
-                    and isinstance(body_stmt.targets[0], ast.Name)
-                    and isinstance(body_stmt.value, ast.Constant)
-                    and isinstance(body_stmt.value.value, str)
-                ):
-                    members.append(
-                        RegistryMember(
-                            body_stmt.targets[0].id,
-                            body_stmt.value.value,
-                            body_stmt.lineno,
-                        )
-                    )
-            return members or None
     return None
 
 

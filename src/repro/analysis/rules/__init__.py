@@ -18,13 +18,6 @@ from repro.analysis.rules.float_order import (
     FloatSite,
 )
 from repro.analysis.rules.frozen_mutation import FrozenMutationRule
-from repro.analysis.rules.registry_completeness import (
-    DEFAULT_REGISTRY_CONTRACTS,
-    RegistryCompletenessRule,
-    RegistryContract,
-    RegistrySite,
-    SiteExemption,
-)
 from repro.analysis.rules.transform_purity import (
     DEFAULT_PURITY_CONTRACTS,
     PurityContract,
@@ -36,7 +29,6 @@ __all__ = [
     "DEFAULT_CONTRACTS",
     "DEFAULT_FLOAT_CONTRACTS",
     "DEFAULT_PURITY_CONTRACTS",
-    "DEFAULT_REGISTRY_CONTRACTS",
     "DeterminismRule",
     "DigestContract",
     "DigestCoverageRule",
@@ -46,10 +38,6 @@ __all__ = [
     "FloatSite",
     "FrozenMutationRule",
     "PurityContract",
-    "RegistryCompletenessRule",
-    "RegistryContract",
-    "RegistrySite",
-    "SiteExemption",
     "TransformPurityRule",
     "UnitConsistencyRule",
 ]

@@ -21,14 +21,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.hardware.comm import CommModel
 from repro.pipeline.memory_audit import audit_schedule_memory
 from repro.pipeline.perturb import PerturbationSpec
-from repro.pipeline.schedules import (
-    chimera_schedule,
-    gpipe_schedule,
-    interleaved_1f1b_schedule,
-    one_f_one_b_2bp,
-    one_f_one_b_overlapped,
-    one_f_one_b_schedule,
-)
+from repro.pipeline.schedules import schedule_family
 from repro.pipeline.simulator import SimulationResult, simulate_with_info
 from repro.pipeline.tasks import Schedule
 
@@ -76,36 +69,22 @@ def build_schedule_for_plan(
     Args:
         plan: the pipeline plan.
         cluster: hardware, for the stage-boundary hop time.
-        schedule_kind: ``"1f1b"``, ``"2bp"`` (split backward: grad-input /
-            deferred grad-weight), ``"overlap"`` (recomputation hidden
-            under the gradient hop), ``"gpipe"``, ``"chimera"``,
-            ``"chimerad"`` or ``"interleaved"`` (the latter reads the chunk
-            count off the plan: ``num_stages / pipeline_parallel``).
+        schedule_kind: a family name from
+            :data:`~repro.pipeline.schedules.SCHEDULE_FAMILIES`
+            (``"interleaved"`` reads the chunk count off the plan:
+            ``num_stages / pipeline_parallel``).
         comm: an existing communication model for ``cluster``, to avoid
             rebuilding one per call.
     """
+    family = schedule_family(schedule_kind)
     hop = (comm or CommModel(cluster)).pipeline_hop_time(plan.hidden_size, plan.train)
-    costs = list(plan.stage_costs())
-    n = plan.train.num_micro_batches(plan.parallel)
-    if schedule_kind == "1f1b":
-        return one_f_one_b_schedule(costs, n, hop_time=hop, name=plan.method)
-    if schedule_kind == "2bp":
-        return one_f_one_b_2bp(costs, n, hop_time=hop, name=f"{plan.method}-2BP")
-    if schedule_kind == "overlap":
-        return one_f_one_b_overlapped(
-            costs, n, hop_time=hop, name=f"{plan.method}-OR"
-        )
-    if schedule_kind == "gpipe":
-        return gpipe_schedule(costs, n, hop_time=hop)
-    if schedule_kind == "chimera":
-        return chimera_schedule(costs, n, hop_time=hop)
-    if schedule_kind == "chimerad":
-        return chimera_schedule(costs, n, hop_time=hop, forward_doubling=True)
-    if schedule_kind == "interleaved":
-        return interleaved_1f1b_schedule(
-            costs, n, plan.parallel.pipeline_parallel, hop_time=hop
-        )
-    raise ValueError(f"unknown schedule kind {schedule_kind!r}")
+    return family.build(
+        list(plan.stage_costs()),
+        plan.train.num_micro_batches(plan.parallel),
+        hop,
+        plan.method,
+        plan.parallel.pipeline_parallel,
+    )
 
 
 def evaluate_plan(

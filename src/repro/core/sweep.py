@@ -131,8 +131,8 @@ class SweepConfig:
             nominal time only) and require a ``perturbation`` spec.
         perturbation: the :class:`~repro.pipeline.perturb.PerturbationSpec`
             the robust objective evaluates plans under.
-        robust_draws: ensemble size per plan for robust objectives.
-        robust_schedule_kind: schedule the robust ensemble executes.
+        robust_draws: ensemble size per plan for robust objectives. The
+            ensembles execute each plan's 1F1B schedule.
     """
 
     workers: int = 0
@@ -148,7 +148,6 @@ class SweepConfig:
     robust_objective: str = "nominal"
     perturbation: Optional[PerturbationSpec] = None
     robust_draws: int = 8
-    robust_schedule_kind: str = "1f1b"
 
     def resolve_workers(self, num_strategies: int) -> int:
         if num_strategies <= 0:
@@ -521,9 +520,7 @@ def run_sweep(
             if _per_sample_time(plans_by_index[index]) is not None
         ]
         schedules = [
-            build_schedule_for_plan(
-                plans_by_index[index], cluster, config.robust_schedule_kind
-            )
+            build_schedule_for_plan(plans_by_index[index], cluster, "1f1b")
             for index in indices
         ]
         reports = evaluate_robustness_many(

@@ -12,7 +12,7 @@
 * ``adapipe validate`` — the cross-implementation consistency battery.
 * ``adapipe lint`` — adalint, the domain-aware static analysis pass
   (digest coverage, determinism, unit consistency, frozen mutation,
-  registry completeness, transform purity, float-order divergence);
+  transform purity, float-order divergence);
   text/JSON/SARIF reporters, ``--changed`` for git-scoped runs.
 * ``adapipe audit ...`` — differential memory audit: the Section 4.2
   model's per-stage totals vs the simulator's measured peaks, across the
@@ -29,7 +29,9 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.core.robust import ROBUST_ENGINES
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.pipeline.schedules import SCHEDULE_KINDS, schedule_family
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="adalint: domain-aware static analysis (digest coverage, "
-             "determinism, unit consistency, frozen mutation, registry "
-             "completeness, transform purity, float op order)",
+             "determinism, unit consistency, frozen mutation, transform "
+             "purity, float op order)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -229,13 +231,13 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--memory-limit-gib", type=float,
                        help="memory constraint in GiB (default: 92%% of device)")
     audit.add_argument(
-        "--schedules", nargs="+",
-        default=["1f1b", "2bp", "overlap", "gpipe", "chimera", "chimerad",
-                 "interleaved"],
-        help="schedule kinds to audit the plan under",
+        "--schedules", nargs="+", default=list(SCHEDULE_KINDS),
+        choices=SCHEDULE_KINDS,
+        help="schedule kinds to audit the plan under (default: all)",
     )
     audit.add_argument("--chunks", type=int, default=2,
-                       help="chunks per device for the interleaved audit")
+                       help="chunks per device for the chunked (interleaved) "
+                            "audits")
     audit.add_argument("--verbose", action="store_true",
                        help="print the full per-stage discrepancy tables")
 
@@ -259,16 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
     robust.add_argument("--memory-limit-gib", type=float,
                         help="memory constraint in GiB (default: 92%% of device)")
     robust.add_argument(
-        "--schedule", default="1f1b",
-        choices=["1f1b", "2bp", "overlap", "gpipe", "chimera", "chimerad",
-                 "interleaved"],
+        "--schedule", default="1f1b", choices=SCHEDULE_KINDS,
         help="schedule to execute the plan under",
     )
     robust.add_argument("--draws", type=int, default=16,
                         help="perturbation ensemble size")
     robust.add_argument(
-        "--engine", default=None,
-        choices=["batched", "compiled", "reference"],
+        "--engine", default=None, choices=ROBUST_ENGINES,
         help="ensemble execution path: the batched vectorized sweep "
              "(default) or a scalar per-draw oracle engine",
     )
@@ -717,7 +716,7 @@ def _cmd_audit(args) -> int:
     failures = 0
     audited = 0
     for kind in args.schedules:
-        if kind == "interleaved":
+        if schedule_family(kind).chunked:
             target = plan_interleaved(ctx, RecomputePolicy.SELECTIVE, args.chunks)
         else:
             target = plan
@@ -742,6 +741,9 @@ def _cmd_audit(args) -> int:
         if not report.conservative:
             failures += 1
     print()
+    if not audited:
+        print("no schedule could be audited for this configuration")
+        return 2
     if failures:
         print(f"memory model UNDER-COUNTS on {failures}/{audited} schedules")
         return 1

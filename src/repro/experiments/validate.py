@@ -14,28 +14,27 @@ quantity against each other:
 6. the eager (tape) engine vs the manual-backward engine;
 7. plan JSON round-trip fidelity;
 8. schedule-aware memory audit — modelled in-flight counts and device
-   peaks vs the simulator's, across the schedule zoo (conservative
-   everywhere, exact for the 1F1B family including 2BP and overlapped
-   recomputation);
+   peaks vs the simulator's, for every row of the schedule-family table
+   (conservative everywhere, exact wherever the row claims
+   ``exact_in_flight``);
 9. the new schedule families — 2BP split backward and overlapped
    recomputation: tri-engine bit-equality (compiled / reference /
    batched), 2BP strictly shrinking the bubble at equal peak memory,
    and fused-vs-explicit overlap lowering equivalence;
 10. adalint — the domain-aware static analysis pass over the installed
     package (digest coverage, determinism, unit consistency, frozen
-    mutation, registry completeness, transform purity, float op order)
-    must report zero unsuppressed findings;
+    mutation, transform purity, float op order) must report zero
+    unsuppressed findings;
 11. heterogeneous round trip — a homogeneous device pool must reproduce
     the poolless planner's plan bit-identically, and an elastic
     warm-started replan after a device leaves must select the same plan
     as a cold sweep on the shrunken pool while actually reusing cached
     stage evaluations;
 12. static-analysis contracts — the interprocedural lint families must
-    still *detect*: synthesized trees with an unregistered schedule
-    kind, a digest omission two calls deep, an argument-mutating
-    transform, and a reassociated lowering expression each produce
-    exactly the planted finding (and the deep-delegating-but-complete
-    digest tree stays clean).
+    still *detect*: synthesized trees with a digest omission two calls
+    deep, an argument-mutating transform, and a reassociated lowering
+    expression each produce exactly the planted finding (and the
+    deep-delegating-but-complete digest tree stays clean).
 """
 
 from __future__ import annotations
@@ -274,38 +273,35 @@ def _check_memory_audit() -> CheckResult:
     from repro.core.evaluate import build_schedule_for_plan
     from repro.core.strategies import RecomputePolicy
     from repro.pipeline.memory_audit import audit_schedule_memory
+    from repro.pipeline.schedules import SCHEDULE_FAMILIES
 
     ctx, plan = _planning_fixture()
-    kinds = []
-    reports = []
-    for kind in ("1f1b", "2bp", "overlap", "gpipe", "chimera", "chimerad"):
+    chunked = plan_interleaved(ctx, RecomputePolicy.SELECTIVE, chunks=2)
+    under, inexact, missing, exact = [], [], [], []
+    for family in SCHEDULE_FAMILIES:
+        target = chunked if family.chunked else plan
         try:
-            schedule = build_schedule_for_plan(plan, ctx.cluster, kind)
+            schedule = build_schedule_for_plan(target, ctx.cluster, family.name)
         except ValueError:
-            continue  # e.g. micro-batches don't split for ChimeraD
-        kinds.append(kind)
-        reports.append(audit_schedule_memory(schedule, kind))
-    interleaved = plan_interleaved(ctx, RecomputePolicy.SELECTIVE, chunks=2)
-    if interleaved.feasible:
-        kinds.append("interleaved")
-        reports.append(
-            audit_schedule_memory(
-                build_schedule_for_plan(interleaved, ctx.cluster, "interleaved"),
-                "interleaved",
-            )
-        )
-    under = [k for k, r in zip(kinds, reports) if not r.conservative]
-    exact_kinds = ("1f1b", "2bp", "overlap")
-    inexact = [
-        k
-        for k, r in zip(kinds, reports)
-        if k in exact_kinds
-        and (r.max_abs_rel_gap > 1e-6 or any(not s.exact for s in r.stages))
-    ]
-    missing = [k for k in exact_kinds if k not in kinds]
-    ok = not under and not inexact and not missing and len(kinds) >= 6
+            missing.append(family.name)
+            continue
+        report = audit_schedule_memory(schedule, family.name)
+        if not report.conservative:
+            under.append(family.name)
+        if not family.exact_in_flight:
+            continue
+        exact.append(family.name)
+        # A device hosting a single stage peaks with that stage, so exact
+        # stage counts must give exact device peaks there as well.
+        single_stage = len(report.stages) == len(report.devices)
+        if any(not stage.exact for stage in report.stages) or (
+            single_stage and report.max_abs_rel_gap > 1e-6
+        ):
+            inexact.append(family.name)
+    ok = not under and not inexact and not missing
     detail = (
-        f"{len(kinds)} schedules conservative, 1F1B family exact"
+        f"{len(SCHEDULE_FAMILIES)} schedules conservative, "
+        f"{len(exact)} exact ({', '.join(exact)})"
         if ok
         else (
             f"under-counting on {under or 'n/a'}; "
@@ -494,7 +490,6 @@ def _check_static_contracts() -> CheckResult:
         FloatOrderRule,
         FloatSite,
         PurityContract,
-        RegistryCompletenessRule,
         TransformPurityRule,
     )
 
@@ -502,48 +497,7 @@ def _check_static_contracts() -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
-        # 1. Registry: "wavefront" declared but unregistered at exactly
-        # one site (the schedule builder).
-        kinds_all = '"1f1b", "2bp", "overlap", "gpipe", "chimera", "chimerad", "interleaved", "wavefront"'
-        kinds_no_wave = kinds_all.replace(', "wavefront"', "")
-        kinds_no_inter = kinds_all.replace('"interleaved", ', "")
-        tree = {
-            "profiler/memory.py": (
-                f"SCHEDULE_KINDS = ({kinds_all})\n\n\n"
-                f"def in_flight_micro_batches(kind):\n    return ({kinds_all})\n"
-            ),
-            "core/evaluate.py": (
-                f"def build_schedule_for_plan(kind):\n    return ({kinds_no_wave})\n"
-            ),
-            "pipeline/memory_audit.py": (
-                f"def audit_plan_over_schedules(kinds=({kinds_no_inter})):\n"
-                "    return kinds\n"
-            ),
-            "experiments/cli.py": (
-                f"def _build_parser():\n    return ({kinds_all})\n"
-            ),
-            "experiments/validate.py": (
-                f"def _check_memory_audit(kinds=({kinds_no_inter})):\n"
-                "    return kinds\n"
-            ),
-        }
-        for relpath, source in tree.items():
-            path = root / "registry" / relpath
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(source)
-        result = run_lint(
-            [root / "registry"], rules=[RegistryCompletenessRule()]
-        )
-        planted = [
-            f for f in result.findings
-            if "wavefront" in f.message and "build_schedule_for_plan" in f.message
-        ]
-        if len(result.findings) != 1 or len(planted) != 1:
-            failures.append(
-                f"registry probe: {[f.message for f in result.findings]}"
-            )
-
-        # 2. Digest coverage v2: link_hops dropped two calls deep must
+        # 1. Digest coverage v2: link_hops dropped two calls deep must
         # fire; the sibling tree reading it two calls deep must be clean
         # (v1's single-function name match could not tell them apart).
         tasks_src = (
@@ -608,7 +562,7 @@ def _check_static_contracts() -> CheckResult:
                         f"{[f.message for f in result.findings]}"
                     )
 
-        # 3. Purity: a transform mutating its argument one call deep.
+        # 2. Purity: a transform mutating its argument one call deep.
         (root / "purity").mkdir()
         (root / "purity" / "transforms.py").write_text(
             "def _stamp(out, values):\n"
@@ -628,7 +582,7 @@ def _check_static_contracts() -> CheckResult:
                 f"purity probe: {[f.message for f in result.findings]}"
             )
 
-        # 4. Float order: vector side applies delays before the factor.
+        # 3. Float order: vector side applies delays before the factor.
         (root / "floats").mkdir()
         (root / "floats" / "engines.py").write_text(
             "def scalar_lower(duration, factor, delay):\n"
@@ -677,8 +631,8 @@ def _check_static_contracts() -> CheckResult:
 
     ok = not failures
     detail = (
-        "registry, digest-v2 (fire + deep-read clean), purity, float-order "
-        "probes all detect"
+        "digest-v2 (fire + deep-read clean), purity, float-order probes "
+        "all detect"
         if ok
         else "; ".join(failures)
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.pipeline.tasks import Schedule, Task, TaskKey, TaskKind
+from repro.pipeline.tasks import RELEASE_KINDS, Schedule, Task, TaskKey, TaskKind
 
 
 class SimulationError(RuntimeError):
@@ -345,7 +345,7 @@ def compile_schedule(schedule: Schedule) -> CompiledSchedule:
                 f"a {kind.value} task; activations are carried by the "
                 "forward and released by its backward (grad-weight) twin"
             )
-        if kind in (TaskKind.BACKWARD_INPUT, TaskKind.RECOMPUTE):
+        if kind not in RELEASE_KINDS:
             # Grad-input and recomputation never release: the activations
             # stay pinned until grad-weight (split backward) or the plain
             # backward consumes them.

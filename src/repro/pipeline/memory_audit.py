@@ -15,12 +15,13 @@ The contract being audited:
   device peak >= simulated device peak on every device, for every
   schedule kind. (The converse — a model that under-counts — is exactly
   the planner-admits-OOM failure mode this audit exists to catch.)
-* **Tightness for the 1F1B family** — the plain 1F1B, 2BP split-backward
-  and overlapped-recomputation counts are exact (ALGORITHMS.md §13: 2BP
-  defers grad-weight releases only into the drain; recompute tasks do not
-  touch liveness), so modelled and simulated peaks must agree to
-  floating-point tolerance there — the audit reports them "exact", not
-  merely "conservative".
+* **Tightness where claimed** — families marked ``exact_in_flight`` in
+  :data:`~repro.pipeline.schedules.SCHEDULE_FAMILIES` (the 1F1B family,
+  GPipe, interleaved 1F1B) must match the measured in-flight count on
+  every stage — the audit reports those stages "exact", not merely
+  "conservative". Where each device hosts a single stage (1F1B, 2BP,
+  overlapped recomputation, GPipe) the device peaks then agree to
+  floating-point tolerance as well.
 
 ``adapipe audit`` runs this over the schedule zoo; ``adapipe validate``
 registers it as a differential check; :func:`repro.core.evaluate.evaluate_plan`
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.pipeline.schedules import SCHEDULE_FAMILIES
 from repro.pipeline.simulator import SimulationResult, simulate
 from repro.pipeline.tasks import Schedule, TaskKind
 from repro.pipeline.tracing import stage_in_flight_micro_batch_peaks
@@ -311,20 +313,19 @@ def audit_plan_memory(
 def audit_plan_over_schedules(
     plan,
     cluster,
-    schedule_kinds: Sequence[str] = (
-        "1f1b",
-        "2bp",
-        "overlap",
-        "gpipe",
-        "chimera",
-        "chimerad",
-    ),
+    schedule_kinds: Optional[Sequence[str]] = None,
 ) -> Mapping[str, MemoryAuditReport]:
     """Audit a plan across the schedule zoo; skips kinds the plan can't run.
 
-    A kind is skipped (absent from the result) when the schedule builder
-    rejects the configuration — e.g. Chimera needs an even stage count.
+    ``schedule_kinds`` defaults to every family a plain (un-chunked) plan
+    can run. A kind is skipped (absent from the result) when the schedule
+    builder rejects the configuration — e.g. Chimera needs an even stage
+    count.
     """
+    if schedule_kinds is None:
+        schedule_kinds = [
+            family.name for family in SCHEDULE_FAMILIES if not family.chunked
+        ]
     reports: Dict[str, MemoryAuditReport] = {}
     for kind in schedule_kinds:
         try:

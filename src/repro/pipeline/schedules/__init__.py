@@ -17,9 +17,19 @@ execute:
   multiple model chunks per device.
 * :func:`chimera_schedule` — bidirectional pipelines (two replicas in
   opposite directions), optionally with forward doubling (ChimeraD).
+
+:data:`SCHEDULE_FAMILIES` (:mod:`repro.pipeline.schedules.families`) binds
+each kind name to its generator and its in-flight memory rule; look a
+kind up with :func:`schedule_family`.
 """
 
 from repro.pipeline.schedules.chimera import chimera_schedule
+from repro.pipeline.schedules.families import (
+    SCHEDULE_FAMILIES,
+    SCHEDULE_KINDS,
+    ScheduleFamily,
+    schedule_family,
+)
 from repro.pipeline.schedules.gpipe import gpipe_schedule
 from repro.pipeline.schedules.interleaved import interleaved_1f1b_schedule
 from repro.pipeline.schedules.onef1b import one_f_one_b_schedule
@@ -30,6 +40,9 @@ from repro.pipeline.schedules.overlapped import (
 from repro.pipeline.schedules.twobp import one_f_one_b_2bp
 
 __all__ = [
+    "SCHEDULE_FAMILIES",
+    "SCHEDULE_KINDS",
+    "ScheduleFamily",
     "chimera_schedule",
     "default_recompute_times",
     "gpipe_schedule",
@@ -37,4 +50,5 @@ __all__ = [
     "one_f_one_b_2bp",
     "one_f_one_b_overlapped",
     "one_f_one_b_schedule",
+    "schedule_family",
 ]

@@ -13,7 +13,8 @@ to chunk ``(k // p) % v`` and real micro-batch ``(k // (vp)) * p + k % p``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import ConfigError
 from repro.pipeline.schedules.common import (
@@ -117,3 +118,60 @@ def interleaved_1f1b_schedule(
         device_static_bytes=statics,
         device_buffer_bytes=buffers,
     )
+
+
+@lru_cache(maxsize=None)
+def _interleaved_stage_peaks(
+    num_devices: int, num_chunks: int, num_micro_batches: int
+) -> Tuple[int, ...]:
+    """Exact per-global-stage in-flight peaks of the interleaved schedule.
+
+    The Megatron task order is fixed combinatorics (warmup of
+    ``2(p - d - 1) + (v - 1)p`` virtual forwards, then strict 1F1B
+    alternation), independent of task durations, so the peak number of
+    live micro-batches per stage is obtained by replaying the index
+    arithmetic of :func:`interleaved_1f1b_schedule` — no simulation
+    needed. Forward and backward of a micro-batch run on the same device
+    and devices execute in list order, so this dispatch-counter peak
+    equals the simulator's measured activation-liveness peak
+    (`stage_in_flight_peaks`).
+    """
+    p, v, n = num_devices, num_chunks, num_micro_batches
+    total_virtual = n * v
+    peaks = [0] * (v * p)
+    for device in range(p):
+        live = [0] * v
+        warmup = min(2 * (p - device - 1) + (v - 1) * p, total_virtual)
+
+        def start_forward(k: int) -> None:
+            chunk = (k // p) % v
+            live[chunk] += 1
+            stage = chunk * p + device
+            if live[chunk] > peaks[stage]:
+                peaks[stage] = live[chunk]
+
+        for k in range(warmup):
+            start_forward(k)
+        for i in range(total_virtual - warmup):
+            start_forward(warmup + i)
+            live[v - 1 - (i // p) % v] -= 1  # backward i retires its chunk
+        # The drain phase only runs backwards; peaks cannot rise further.
+    return tuple(peaks)
+
+
+def interleaved_in_flight(
+    stage: int,
+    num_stages: int,
+    num_micro_batches: int,
+    num_devices: Optional[int],
+) -> int:
+    """Exact in-flight count of global stage ``stage`` (``num_stages`` is
+    ``chunks * num_devices``)."""
+    if num_devices is None or num_devices < 1 or num_stages % num_devices:
+        raise ValueError(
+            f"interleaved needs num_devices dividing {num_stages} stages, "
+            f"got {num_devices}"
+        )
+    return _interleaved_stage_peaks(
+        num_devices, num_stages // num_devices, num_micro_batches
+    )[stage]

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.pipeline.compiled import SimulationError
-from repro.pipeline.tasks import Schedule, Task, TaskKey, TaskKind
+from repro.pipeline.tasks import RELEASE_KINDS, Schedule, Task, TaskKey, TaskKind
 
 __all__ = [
     "SimulationCache",
@@ -559,7 +559,7 @@ def _record_memory(
             memory_events[device].append((start, task.activation_bytes))
         forward_device[task.key] = device
         return
-    if kind in (TaskKind.BACKWARD_INPUT, TaskKind.RECOMPUTE):
+    if kind not in RELEASE_KINDS:
         return
     if kind == TaskKind.BACKWARD and (
         TaskKey(

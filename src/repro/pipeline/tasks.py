@@ -47,9 +47,11 @@ class TaskKind(enum.Enum):
 
 
 #: Kinds that release their forward twin's pinned activations when they
-#: finish. ``BACKWARD`` only releases when no ``BACKWARD_WEIGHT`` twin
-#: exists (the per-kind completeness contract forbids mixing the two for
-#: one micro-batch; lowering is defensive about it regardless).
+#: finish; every other non-forward kind leaves liveness alone. The
+#: compiled lowering and the reference engine both decide from this tuple.
+#: ``BACKWARD`` only releases when no ``BACKWARD_WEIGHT`` twin exists (the
+#: per-kind completeness contract forbids mixing the two for one
+#: micro-batch; lowering is defensive about it regardless).
 RELEASE_KINDS = (TaskKind.BACKWARD, TaskKind.BACKWARD_WEIGHT)
 
 

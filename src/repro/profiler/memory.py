@@ -15,71 +15,22 @@ Per-stage memory splits into three parts:
    micro-batches the *schedule* keeps live on the stage —
    ``min(n, p - s)`` under 1F1B, all ``n`` under GPipe, and the
    schedule-specific counts of :func:`in_flight_micro_batches` for the
-   interleaved and Chimera variants.
+   interleaved and Chimera variants. Each rule lives on its row of the
+   schedule-family table (:mod:`repro.pipeline.schedules.families`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from repro.config import ParallelConfig, TrainingConfig
 from repro.model.layers import Layer, LayerKind
 from repro.model.spec import ModelSpec
 from repro.model.units import ComputationUnit, units_for_layer
-
-#: Schedule kinds with an in-flight accounting rule. ``interleaved`` expects
-#: ``num_stages`` to be the *global* stage count (chunks x devices) and
-#: ``num_devices`` the pipeline group size.
-SCHEDULE_KINDS = (
-    "1f1b",
-    "2bp",
-    "overlap",
-    "gpipe",
-    "chimera",
-    "chimerad",
-    "interleaved",
-)
-
-
-@lru_cache(maxsize=None)
-def _interleaved_stage_peaks(
-    num_devices: int, num_chunks: int, num_micro_batches: int
-) -> Tuple[int, ...]:
-    """Exact per-global-stage in-flight peaks of the interleaved schedule.
-
-    The Megatron task order is fixed combinatorics (warmup of
-    ``2(p - d - 1) + (v - 1)p`` virtual forwards, then strict 1F1B
-    alternation), independent of task durations, so the peak number of
-    live micro-batches per stage is obtained by replaying the index
-    arithmetic — no simulation needed. Forward and backward of a
-    micro-batch run on the same device and devices execute in list order,
-    so this dispatch-counter peak equals the simulator's measured
-    activation-liveness peak (`stage_in_flight_peaks`).
-    """
-    p, v, n = num_devices, num_chunks, num_micro_batches
-    total_virtual = n * v
-    peaks = [0] * (v * p)
-    for device in range(p):
-        live = [0] * v
-        warmup = min(2 * (p - device - 1) + (v - 1) * p, total_virtual)
-
-        def start_forward(k: int) -> None:
-            chunk = (k // p) % v
-            live[chunk] += 1
-            stage = chunk * p + device
-            if live[chunk] > peaks[stage]:
-                peaks[stage] = live[chunk]
-
-        for k in range(warmup):
-            start_forward(k)
-        for i in range(total_virtual - warmup):
-            start_forward(warmup + i)
-            live[v - 1 - (i // p) % v] -= 1  # backward i retires its chunk
-        # The drain phase only runs backwards; peaks cannot rise further.
-    return tuple(peaks)
+from repro.pipeline.schedules.families import SCHEDULE_KINDS as SCHEDULE_KINDS
+from repro.pipeline.schedules.families import schedule_family
 
 
 def in_flight_micro_batches(
@@ -91,22 +42,14 @@ def in_flight_micro_batches(
 ) -> int:
     """Micro-batches whose activations stage ``s`` keeps live at peak.
 
-    Exact for 1F1B (``min(n, p - s)``), GPipe (``n``), and interleaved
-    1F1B (replayed from the deterministic task order); an admissible upper
+    Dispatches to the family's rule in
+    :data:`~repro.pipeline.schedules.families.SCHEDULE_FAMILIES`. Exact
+    for the 1F1B family (``min(n, p - s)``: 1F1B, 2BP and overlapped
+    recomputation, ALGORITHMS.md §13), GPipe (``n``) and interleaved 1F1B
+    (replayed from the deterministic task order); an admissible upper
     bound for the Chimera variants, whose greedy list scheduler depends on
-    task durations but caps each direction's window at
-    ``min(p - s, p / 2)`` scheduling entities. ChimeraD counts are in
-    micro-batch units — each doubled forward entity pins two micro-batches
-    of activations.
-
-    The two DAG-changing families stay exactly ``min(n, p - s)`` as well
-    (ALGORITHMS.md §13): ``"2bp"`` holds activations until *grad-weight*,
-    but the builder defers grad-weights only into the drain phase, where
-    liveness already declines monotonically, so the steady-phase peak is
-    untouched; ``"overlap"`` adds recompute tasks that neither pin nor
-    release activations (the recompute buffer is separate,
-    ``StageCosts.buffer_bytes``). The memory audit asserts both exact, not
-    merely conservative.
+    task durations. ChimeraD counts are in micro-batch units — each
+    doubled forward entity pins two micro-batches of activations.
 
     Args:
         schedule_kind: one of :data:`SCHEDULE_KINDS`.
@@ -117,30 +60,12 @@ def in_flight_micro_batches(
             replica pair for Chimera, which splits them over directions).
         num_devices: pipeline group size; required for ``interleaved``.
     """
-    p, n, s = num_stages, num_micro_batches, stage
-    if not 0 <= s < p:
-        raise ValueError(f"stage {s} out of range for {p} stages")
-    if n < 1:
-        raise ValueError(f"need at least one micro-batch, got {n}")
-    if schedule_kind in ("1f1b", "2bp", "overlap"):
-        return min(n, p - s)
-    if schedule_kind == "gpipe":
-        return n
-    if schedule_kind in ("chimera", "chimerad"):
-        weight = 2 if schedule_kind == "chimerad" else 1
-        entities_per_pipe = -(-n // (2 * weight))  # ceil: stays an upper bound
-        return weight * min(entities_per_pipe, p - s, max(1, p // 2))
-    if schedule_kind == "interleaved":
-        if num_devices is None or num_devices < 1 or p % num_devices:
-            raise ValueError(
-                f"interleaved needs num_devices dividing {p} stages, "
-                f"got {num_devices}"
-            )
-        chunks = p // num_devices
-        return _interleaved_stage_peaks(num_devices, chunks, n)[s]
-    raise ValueError(
-        f"unknown schedule kind {schedule_kind!r}; pick from {SCHEDULE_KINDS}"
-    )
+    family = schedule_family(schedule_kind)
+    if not 0 <= stage < num_stages:
+        raise ValueError(f"stage {stage} out of range for {num_stages} stages")
+    if num_micro_batches < 1:
+        raise ValueError(f"need at least one micro-batch, got {num_micro_batches}")
+    return family.in_flight(stage, num_stages, num_micro_batches, num_devices)
 
 
 @dataclass(frozen=True)
@@ -181,11 +106,7 @@ class MemoryModel:
 
     def with_schedule(self, schedule_kind: str) -> "MemoryModel":
         """A copy of this model accounting for ``schedule_kind``."""
-        if schedule_kind not in SCHEDULE_KINDS:
-            raise ValueError(
-                f"unknown schedule kind {schedule_kind!r}; "
-                f"pick from {SCHEDULE_KINDS}"
-            )
+        schedule_family(schedule_kind)  # reject unknown kinds here, not later
         return dataclasses.replace(self, schedule_kind=schedule_kind)
 
     @property

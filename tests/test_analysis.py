@@ -37,7 +37,6 @@ from repro.analysis.rules import (
     FloatOrderRule,
     FloatSite,
     PurityContract,
-    RegistryCompletenessRule,
     TransformPurityRule,
 )
 from repro.experiments.cli import main as cli_main
@@ -66,7 +65,6 @@ class TestFramework:
             "digest-coverage",
             "float-order-divergence",
             "frozen-mutation",
-            "registry-completeness",
             "transform-purity",
             "unit-consistency",
         }
@@ -235,9 +233,7 @@ class TestUnitConsistencyRule:
             "def f(peak_bytes, wait_seconds):\n"
             "    peak_bytes += wait_seconds\n"
             "    return peak_bytes\n",
-            # Any enforced dir works; avoid profiler/memory.py, which is
-            # the schedule-kind registry anchor and would add a broken-
-            # contract finding for this registry-less snippet.
+            # Any of the enforced dirs (profiler/, hardware/, core/).
             name="profiler/activation.py",
         )
         assert _rules_fired(result) == {"unit-consistency"}
@@ -363,33 +359,6 @@ class TestDigestCoverageRule:
         assert [f.rule for f in result.findings] == ["digest-coverage"]
         assert "Schedule.link_hops" in result.findings[0].message
         assert result.findings[0].path == "pipeline/simulator.py"
-
-
-class TestRegistryCompletenessRule:
-    def test_unregistered_kind_fires(self):
-        # "wavefront" is declared in the kind registry but missing from
-        # exactly one consumer: the schedule builder's dispatch.
-        result = run_lint([FIXTURES / "registry_unregistered"])
-        assert [f.rule for f in result.findings] == ["registry-completeness"]
-        finding = result.findings[0]
-        assert finding.path == "profiler/memory.py"
-        assert "wavefront" in finding.message
-        assert "build_schedule_for_plan" in finding.message
-
-    def test_fully_registered_tree_is_clean(self):
-        result = run_lint([FIXTURES / "registry_complete"])
-        assert result.ok and result.findings == []
-
-    def test_default_contracts_declare_reasons_for_exemptions(self):
-        for rule in default_rules():
-            if not isinstance(rule, RegistryCompletenessRule):
-                continue
-            for contract in rule.contracts:
-                for site in contract.sites:
-                    for exemption in site.exempt:
-                        assert exemption.reason.strip(), (
-                            contract.name, site.path, exemption.member
-                        )
 
 
 class TestDigestCoverageV2:
@@ -715,6 +684,41 @@ class TestDocsSync:
         from repro.analysis.docs_sync import diff_rules
 
         assert diff_rules(REPO_ROOT / "docs" / "USAGE.md") == []
+
+    def test_real_docs_name_every_registry_member(self, capsys):
+        from repro.analysis.docs_sync import main
+
+        docs = [REPO_ROOT / "docs" / "USAGE.md", REPO_ROOT / "EXPERIMENTS.md"]
+        assert main([str(path) for path in docs]) == 0
+        assert "match the registries" in capsys.readouterr().out
+
+    def test_planted_missing_names_are_drift(self, tmp_path, capsys):
+        from repro.analysis.docs_sync import main, missing_names
+
+        experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        planted = tmp_path / "EXPERIMENTS.md"
+        # figure10 stays named, so figure1 must not count as a substring.
+        planted.write_text(
+            experiments.replace("figure1`", "").replace("DAPPLE-Non", "")
+        )
+        problems = missing_names(planted)
+        assert len(problems) == 2
+        assert "experiment 'figure1'" in problems[0]
+        assert "baseline method 'DAPPLE-Non'" in problems[1]
+
+        usage = tmp_path / "USAGE.md"
+        usage.write_text(
+            (REPO_ROOT / "docs" / "USAGE.md").read_text().replace("reference", "")
+        )
+        assert main([str(usage)]) == 1
+        assert "robustness engine 'reference'" in capsys.readouterr().err
+
+    def test_unchecked_document_is_a_usage_error(self, tmp_path):
+        from repro.analysis.docs_sync import main
+
+        readme = tmp_path / "README.md"
+        readme.write_text("# nothing bound\n")
+        assert main([str(readme)]) == 2
 
     def test_missing_and_phantom_rules_are_drift(self, tmp_path):
         from repro.analysis.docs_sync import diff_rules

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.robust import (
-    CRITICALITY_EPSILON,
     EnsembleCache,
     ensemble_digest,
     evaluate_robustness,
@@ -35,6 +34,7 @@ from repro.pipeline.perturb import (
     perturb_schedule,
 )
 from repro.pipeline.schedules import (
+    SCHEDULE_FAMILIES,
     chimera_schedule,
     gpipe_schedule,
     interleaved_1f1b_schedule,
@@ -56,6 +56,10 @@ _KINDS = (
     "overlap-fused",
 )
 _DEVICES = 4
+
+
+def test_kinds_cover_every_schedule_family():
+    assert {family.name for family in SCHEDULE_FAMILIES} <= set(_KINDS)
 
 
 def _random_costs(rng, p):

@@ -19,6 +19,7 @@ import pytest
 
 from repro.config import ParallelConfig, TrainingConfig
 from repro.core.evaluate import build_schedule_for_plan, evaluate_plan
+from repro.experiments.cli import main
 from repro.core.search import PlannerContext, plan_adapipe
 from repro.hardware.cluster import cluster_a
 from repro.model.spec import tiny_gpt
@@ -28,6 +29,8 @@ from repro.pipeline.memory_audit import (
     modeled_device_peaks,
 )
 from repro.pipeline.schedules import (
+    SCHEDULE_FAMILIES,
+    SCHEDULE_KINDS,
     chimera_schedule,
     gpipe_schedule,
     interleaved_1f1b_schedule,
@@ -215,6 +218,9 @@ class TestAuditConservativeness:
             return chimera_schedule(costs, n, forward_doubling=True)
         return interleaved_1f1b_schedule(costs * 2, n, p)
 
+    def test_kinds_cover_every_schedule_family(self):
+        assert {family.name for family in SCHEDULE_FAMILIES} <= set(self.KINDS)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_randomized_schedules_are_conservative(self, kind):
         rng = np.random.default_rng(hash(kind) % 2**32)
@@ -270,6 +276,55 @@ class TestAuditConservativeness:
         assert peaks == list(
             simulate(schedule).device_peak_bytes
         )  # homogeneous per-device layout: model is exact
+
+
+class TestScheduleFamilyTable:
+    """Every row of the family table builds, and its in-flight rule is
+    conservative everywhere and exact wherever the row claims it."""
+
+    @pytest.mark.parametrize(
+        "family", SCHEDULE_FAMILIES, ids=lambda family: family.name
+    )
+    def test_family_builds_and_keeps_its_in_flight_claim(self, family):
+        p, n = 4, 8
+        costs = _costs(2 * p if family.chunked else p, rng=np.random.default_rng(7))
+        schedule = family.build(costs, n, 0.01, "fixture", p)
+        assert (schedule.num_devices, schedule.num_micro_batches) == (p, n)
+        report = audit_schedule_memory(schedule, family.name)
+        assert report.conservative, report.describe()
+        if family.exact_in_flight:
+            assert all(stage.exact for stage in report.stages), report.describe()
+
+    def test_unknown_kind_is_one_error_naming_the_known_kinds(self, tiny_ctx):
+        plan = plan_adapipe(tiny_ctx)
+        model = tiny_ctx.profiler.memory
+        calls = (
+            lambda: build_schedule_for_plan(plan, tiny_ctx.cluster, "zigzag"),
+            lambda: in_flight_micro_batches("zigzag", 0, 4, 8),
+            lambda: model.with_schedule("zigzag"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == (
+                f"unknown schedule kind 'zigzag'; pick from {SCHEDULE_KINDS}"
+            )
+
+
+class TestAuditCli:
+    def test_misspelled_kind_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "--schedules", "1fb1", "gpip"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: '1fb1'" in capsys.readouterr().err
+
+    def test_nothing_audited_is_a_failure(self, capsys):
+        # Chimera needs an even stage count, so --pp 3 skips both kinds.
+        code = main(["audit", "--pp", "3", "--schedules", "chimera", "chimerad"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("skipped") == 2
+        assert "no schedule could be audited" in out
 
 
 class TestPlanIntegration:

@@ -20,6 +20,7 @@ from repro.pipeline.perturb import (
     perturb_schedule,
 )
 from repro.pipeline.schedules import (
+    SCHEDULE_FAMILIES,
     chimera_schedule,
     gpipe_schedule,
     interleaved_1f1b_schedule,
@@ -100,20 +101,20 @@ def _assert_identical(reference, compiled):
     )
 
 
+_ENGINE_KINDS = [
+    "1f1b",
+    "gpipe",
+    "chimera",
+    "chimerad",
+    "interleaved",
+    "2bp",
+    "overlap",
+    "overlap-fused",
+]
+
+
 class TestEngineEquivalence:
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "1f1b",
-            "gpipe",
-            "chimera",
-            "chimerad",
-            "interleaved",
-            "2bp",
-            "overlap",
-            "overlap-fused",
-        ],
-    )
+    @pytest.mark.parametrize("kind", _ENGINE_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_on_randomized_costs(self, kind, seed):
         rng = random.Random(1000 * seed + 7)
@@ -170,6 +171,12 @@ _FUZZ_KINDS = (
 )
 _FUZZ_DEVICES = 4
 _FUZZ_SCHEDULES = {}
+
+
+def test_kind_lists_cover_every_schedule_family():
+    families = {family.name for family in SCHEDULE_FAMILIES}
+    assert families <= set(_ENGINE_KINDS)
+    assert families <= set(_FUZZ_KINDS)
 
 
 def _fuzz_schedule(kind):
