@@ -14,8 +14,8 @@ compared against.
 """
 
 import random
-import time
 
+from benchmarks.common import best_of
 from repro.core.robust import evaluate_robustness
 from repro.pipeline.perturb import PerturbationSpec, perturb_schedule
 from repro.pipeline.schedules import one_f_one_b_schedule
@@ -30,15 +30,6 @@ BATCH_DRAWS = 32
 #: The batched sweep must be at least this much faster than the scalar
 #: per-draw path on the same ensemble.
 BATCH_SPEEDUP_FLOOR = 10.0
-
-
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _schedule():
@@ -102,9 +93,9 @@ def test_ensemble_overhead_floor(benchmark):
             schedule, spec, DRAWS, engine="compiled", cache=False
         )
 
-    single = _best_of(lambda: simulate(schedule, cache=False))
-    lower = _best_of(lambda: perturb_schedule(schedule, spec))
-    ensemble = _best_of(_sequential)
+    single = best_of(lambda: simulate(schedule, cache=False))
+    lower = best_of(lambda: perturb_schedule(schedule, spec))
+    ensemble = best_of(_sequential)
     budget = sims * single + lowerings * lower
     benchmark.pedantic(_sequential, rounds=1, iterations=1)
     benchmark.extra_info.update(
@@ -163,8 +154,8 @@ def test_batched_vs_sequential_floor(benchmark):
     assert batched_report.times == sequential_report.times
     assert batched_report == sequential_report
 
-    batched_s = _best_of(_batched)
-    sequential_s = _best_of(_sequential, repeats=3)
+    batched_s = best_of(_batched)
+    sequential_s = best_of(_sequential, repeats=3)
     benchmark.pedantic(_batched, rounds=1, iterations=1)
     benchmark.extra_info.update(
         devices=P,

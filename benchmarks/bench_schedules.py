@@ -1,19 +1,29 @@
-"""Bench: 1F1B vs the 2BP split backward — bubble ratio at p=4 and p=8.
+"""Bench: schedule families — 2BP's bubble ratio and Chimera's build scaling.
 
-The ISSUE's acceptance artifact: the 2BP family must strictly reduce
-pipeline bubble time against plain 1F1B at identical per-device peak
-activation memory, and the achieved ratios are tracked in the uploaded
+``test_2bp_bubble_ratio``: the 2BP family must strictly reduce pipeline
+bubble time against plain 1F1B at identical per-device peak activation
+memory (p=4 and p=8), and the achieved ratios are tracked in the uploaded
 ``BENCH_schedules.json`` so regressions in the schedule builders or the
 engine lowering show up in CI history.
 
 Bubble time here is ``p * iteration_time - total_busy_time`` — the idle
 device-seconds of one iteration. Both schedules carry identical
 per-device work, so any iteration-time gap is pure bubble.
+
+``test_chimera_build_scaling``: building a Chimera schedule must stay
+near-linear in its task count. Four times the micro-batches at p=8 must
+cost under 8x the time: a linear builder takes about 4x, a scheduler that
+rescans every pending task each step about 16x.
 """
 
 import pytest
 
-from repro.pipeline.schedules import one_f_one_b_2bp, one_f_one_b_schedule
+from benchmarks.common import best_of
+from repro.pipeline.schedules import (
+    chimera_schedule,
+    one_f_one_b_2bp,
+    one_f_one_b_schedule,
+)
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts
 
@@ -66,3 +76,33 @@ def test_2bp_bubble_ratio(benchmark, p):
         bubble_ratio=round(split_bubble / base_bubble, 4),
         peak_bytes=list(base.device_peak_bytes),
     )
+
+
+def test_chimera_build_scaling(benchmark):
+    """Time ``chimera_schedule`` at p=8 with n=64 and n=256 (4x the tasks);
+    gate the time ratio below 8 and record both times."""
+    p, small_n, large_n = 8, 64, 256
+    costs = [
+        StageCosts(
+            forward=1.0 + 0.1 * stage,
+            backward=2.0 + 0.2 * stage,
+            activation_bytes=1.0,
+        )
+        for stage in range(p)
+    ]
+    small = best_of(lambda: chimera_schedule(costs, small_n, hop_time=HOP), 5)
+    large = best_of(lambda: chimera_schedule(costs, large_n, hop_time=HOP), 3)
+    benchmark.pedantic(
+        lambda: chimera_schedule(costs, large_n, hop_time=HOP),
+        rounds=1, iterations=1,
+    )
+    benchmark.extra_info.update(
+        devices=p,
+        hop_time=HOP,
+        small_micro_batches=small_n,
+        large_micro_batches=large_n,
+        small_build_s=round(small, 6),
+        large_build_s=round(large, 6),
+        time_ratio=round(large / small, 2),
+    )
+    assert large / small < 8.0

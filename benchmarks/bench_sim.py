@@ -11,10 +11,10 @@ than reference.
 """
 
 import random
-import time
 
 import pytest
 
+from benchmarks.common import best_of
 from repro.pipeline.schedules import one_f_one_b_schedule
 from repro.pipeline.simulator import SimulationCache, simulate
 from repro.pipeline.tasks import StageCosts
@@ -56,23 +56,14 @@ def test_sim_cache_replay(benchmark):
     assert cache.hits > 0
 
 
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def test_speedup_floors(benchmark):
     """The ISSUE's acceptance floors: compiled ≥5x, cache replay ≥50x."""
     schedule = _large_schedule()
-    reference = _best_of(lambda: simulate(schedule, engine="reference", cache=False))
-    compiled = _best_of(lambda: simulate(schedule, engine="compiled", cache=False))
+    reference = best_of(lambda: simulate(schedule, engine="reference", cache=False))
+    compiled = best_of(lambda: simulate(schedule, engine="compiled", cache=False))
     cache = SimulationCache()
     simulate(schedule, cache=cache)
-    replay = _best_of(lambda: simulate(schedule, cache=cache))
+    replay = best_of(lambda: simulate(schedule, cache=cache))
 
     benchmark.pedantic(
         lambda: simulate(schedule, engine="compiled", cache=False),

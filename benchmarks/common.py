@@ -9,10 +9,21 @@ survive the run.
 from __future__ import annotations
 
 import pathlib
+import time
 
 from repro.experiments import ExperimentResult, run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+
+def best_of(fn, repeats: int = 5) -> float:
+    """Least wall time of ``repeats`` calls of ``fn``, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def run_and_record(benchmark, name: str, fast: bool = True) -> ExperimentResult:

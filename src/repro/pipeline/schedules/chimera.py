@@ -15,6 +15,13 @@ the bidirectional task graph: backwards are preferred when ready (as in
 ``min(p - s, p/2)``, which yields Chimera's characteristic middle-heavy
 activation profile (Figure 8 of the paper).
 
+The scheduler weighs only the next task of each ``(pipe, stage, kind)``
+stream -- at most 4p candidates a step, ``O(T p)`` for ``T`` tasks -- and
+returns the per-device orders a scan of every pending task would
+(ALGORITHMS.md section 13.4). That equivalence needs non-negative
+durations, so a negative or NaN stage time or hop time raises
+:class:`~repro.config.ConfigError`.
+
 ``forward_doubling=True`` models ChimeraD: pairs of micro-batches are merged
 into one forward pass (halving the number of scheduling units, doubling the
 pinned activations), which trades bubbles for memory.
@@ -22,10 +29,17 @@ pinned activations), which trades bubbles for memory.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.config import ConfigError
 from repro.pipeline.tasks import Schedule, StageCosts, Task, TaskKey, TaskKind
+
+#: Rank of a stream with nothing to dispatch. Ranks order by earliest
+#: start first, and an infinite start is a real one (infeasible stages
+#: carry ``backward=inf``), so the sentinel sorts after every real rank on
+#: its second field: real ranks carry 0 (backward) or 1 (forward) there.
+_UNSCHEDULABLE: Tuple = (math.inf, 2)
 
 
 def chimera_schedule(
@@ -46,6 +60,12 @@ def chimera_schedule(
     p = len(stage_costs)
     if p % 2 != 0:
         raise ConfigError(f"Chimera needs an even stage count, got {p}")
+    # The list scheduler's stream-order argument needs non-negative
+    # durations; inf stays legal (infeasible stage evaluations carry it).
+    for stage, costs in enumerate(stage_costs):
+        _require_non_negative(f"stage {stage} forward", costs.forward)
+        _require_non_negative(f"stage {stage} backward", costs.backward)
+    _require_non_negative("hop_time", hop_time)
     weight = 2 if forward_doubling else 1
     if num_micro_batches % (2 * weight) != 0:
         raise ConfigError(
@@ -55,7 +75,7 @@ def chimera_schedule(
     entities_per_pipe = num_micro_batches // (2 * weight)
 
     tasks = _build_tasks(stage_costs, entities_per_pipe, weight)
-    device_tasks = _list_schedule(tasks, stage_costs, p, hop_time)
+    device_tasks = _list_schedule(tasks, p, hop_time)
 
     statics = [2.0 * costs.static_bytes for costs in stage_costs]
     buffers = [2.0 * costs.buffer_bytes for costs in stage_costs]
@@ -71,6 +91,11 @@ def chimera_schedule(
     )
     schedule.validate()
     return schedule
+
+
+def _require_non_negative(name: str, value: float) -> None:
+    if math.isnan(value) or value < 0:
+        raise ConfigError(f"Chimera {name} must be non-negative, got {value}")
 
 
 def _device_of(pipe: int, stage: int, p: int) -> int:
@@ -114,10 +139,7 @@ def _build_tasks(
 
 
 def _list_schedule(
-    tasks: Dict[TaskKey, Task],
-    stage_costs: Sequence[StageCosts],
-    p: int,
-    hop_time: float,
+    tasks: Dict[TaskKey, Task], p: int, hop_time: float
 ) -> List[List[Task]]:
     """Greedy list scheduling producing per-device total orders.
 
@@ -126,43 +148,83 @@ def _list_schedule(
     and unblock upstream stages, as in 1F1B) and then lower micro-batch
     index. Forwards additionally respect the per-direction in-flight window
     ``min(p - s, p/2)``.
+
+    Only the head of each ``(pipe, stage, kind)`` stream -- its lowest
+    undispatched micro-batch -- is ever a candidate: with non-negative
+    durations and hop time the rank dispatches every stream in micro-batch
+    order (ALGORITHMS.md section 13.4), so a scan over all pending tasks
+    would pick the same task. Each stream's rank is cached and recomputed
+    only when a dispatch changes one of its inputs: a free time on its
+    device, the end of a dependency, its stage's in-flight count or its
+    own head.
     """
+    stream_of: Dict[Tuple[int, int, TaskKind], int] = {}
+    streams: List[List[Task]] = []
+    for key, task in tasks.items():
+        sid = stream_of.setdefault((key.pipe, key.stage, key.kind), len(streams))
+        if sid == len(streams):
+            streams.append([])
+        streams[sid].append(task)
+    for stream in streams:
+        stream.sort(key=lambda task: task.key.micro_batch)
+
+    # A dispatch from stream ``sid`` changes the ranks of its device's
+    # streams (free time, in-flight count, the head) and of the streams
+    # that wait on it (the next stage's forwards, the previous stage's
+    # backwards); ``rerank[sid]`` lists them once each.
+    device_streams: List[List[int]] = [[] for _ in range(p)]
+    for sid, stream in enumerate(streams):
+        device_streams[stream[0].device].append(sid)
+    rerank = [dict.fromkeys(device_streams[stream[0].device]) for stream in streams]
+    for sid, stream in enumerate(streams):
+        for task in stream:
+            for dep in task.deps:
+                rerank[stream_of[dep.pipe, dep.stage, dep.kind]][sid] = None
+
     end_times: Dict[TaskKey, float] = {}
     device_free = [0.0] * p
     in_flight: Dict[Tuple[int, int], int] = {}
     window = {stage: min(p - stage, p // 2) for stage in range(p)}
     order: List[List[Task]] = [[] for _ in range(p)]
-    pending = dict(tasks)
+    heads = [0] * len(streams)
 
-    while pending:
-        best_key = None
-        best_rank: Tuple = ()
-        for key, task in pending.items():
-            if any(dep not in end_times for dep in task.deps):
-                continue
-            if key.kind == TaskKind.FORWARD:
-                flight_key = (key.pipe, key.stage)
-                if in_flight.get(flight_key, 0) >= window[key.stage]:
-                    continue
-            est = device_free[task.device]
-            for dep in task.deps:
-                dep_end = end_times[dep]
-                if tasks[dep].device != task.device:
-                    dep_end += hop_time
-                est = max(est, dep_end)
-            rank = (est, 0 if key.kind == TaskKind.BACKWARD else 1, key.micro_batch, key.pipe, key.stage)
-            if best_key is None or rank < best_rank:
-                best_key, best_rank = key, rank
-        if best_key is None:
+    def rank(sid: int) -> Tuple:
+        stream = streams[sid]
+        if heads[sid] == len(stream):
+            return _UNSCHEDULABLE
+        task = stream[heads[sid]]
+        key = task.key
+        if key.kind == TaskKind.FORWARD:
+            if in_flight.get((key.pipe, key.stage), 0) >= window[key.stage]:
+                return _UNSCHEDULABLE
+        est = device_free[task.device]
+        for dep in task.deps:
+            dep_end = end_times.get(dep)
+            if dep_end is None:
+                return _UNSCHEDULABLE
+            if tasks[dep].device != task.device:
+                dep_end += hop_time
+            est = max(est, dep_end)
+        backward_first = 0 if key.kind == TaskKind.BACKWARD else 1
+        return (est, backward_first, key.micro_batch, key.pipe, key.stage, sid)
+
+    ranks = [rank(sid) for sid in range(len(streams))]
+    for _ in range(len(tasks)):
+        best = min(ranks)
+        if best is _UNSCHEDULABLE:
             raise ConfigError("Chimera list scheduling wedged (internal error)")
-        task = pending.pop(best_key)
-        start = best_rank[0]
-        end_times[best_key] = start + task.duration
+        start, sid = best[0], best[-1]
+        task = streams[sid][heads[sid]]
+        heads[sid] += 1
+        key = task.key
+        end_times[key] = start + task.duration
         device_free[task.device] = start + task.duration
-        flight_key = (best_key.pipe, best_key.stage)
-        if best_key.kind == TaskKind.FORWARD:
+        flight_key = (key.pipe, key.stage)
+        if key.kind == TaskKind.FORWARD:
             in_flight[flight_key] = in_flight.get(flight_key, 0) + 1
         else:
             in_flight[flight_key] = in_flight.get(flight_key, 0) - 1
         order[task.device].append(task)
+        for touched in rerank[sid]:
+            ranks[touched] = rank(touched)
     return order

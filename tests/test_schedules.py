@@ -1,5 +1,7 @@
 """Tests for the schedule generators, including hypothesis invariants."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.pipeline.schedules import (
     one_f_one_b_overlapped,
     one_f_one_b_schedule,
 )
+from repro.pipeline.schedules.chimera import _build_tasks
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts, TaskKind
 
@@ -352,7 +355,7 @@ class TestChimera:
             chimera_schedule(_costs(4), 6, forward_doubling=True)
 
     @given(
-        half_p=st.integers(min_value=1, max_value=3),
+        half_p=st.integers(min_value=1, max_value=6),
         units=st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=20, deadline=None)
@@ -376,3 +379,106 @@ class TestChimera:
         dapple = simulate(one_f_one_b_schedule(_costs(p), n))
         chimera = simulate(chimera_schedule(_costs(p), n))
         assert chimera.iteration_time >= dapple.iteration_time * 0.98
+
+    @pytest.mark.parametrize("field", ["forward", "backward"])
+    @pytest.mark.parametrize("value", [-5.0, math.nan])
+    def test_rejects_negative_or_nan_stage_cost(self, field, value):
+        costs = _costs(4)
+        costs[2] = StageCosts(**{"forward": 1.0, "backward": 2.0, field: value})
+        with pytest.raises(ConfigError, match=f"stage 2 {field}"):
+            chimera_schedule(costs, 8)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_hop_time(self, value):
+        with pytest.raises(ConfigError, match="hop_time"):
+            chimera_schedule(_costs(4), 8, hop_time=value)
+
+
+def _reference_list_schedule(tasks, p, hop_time):
+    """The O(T^2) scan ``_list_schedule`` replaced, kept as its oracle: every
+    step ranks every pending task and dispatches the least."""
+    end_times = {}
+    device_free = [0.0] * p
+    in_flight = {}
+    window = {stage: min(p - stage, p // 2) for stage in range(p)}
+    order = [[] for _ in range(p)]
+    pending = dict(tasks)
+
+    while pending:
+        best_key = None
+        best_rank = ()
+        for key, task in pending.items():
+            if any(dep not in end_times for dep in task.deps):
+                continue
+            if key.kind == TaskKind.FORWARD:
+                flight_key = (key.pipe, key.stage)
+                if in_flight.get(flight_key, 0) >= window[key.stage]:
+                    continue
+            est = device_free[task.device]
+            for dep in task.deps:
+                dep_end = end_times[dep]
+                if tasks[dep].device != task.device:
+                    dep_end += hop_time
+                est = max(est, dep_end)
+            rank = (est, 0 if key.kind == TaskKind.BACKWARD else 1, key.micro_batch, key.pipe, key.stage)
+            if best_key is None or rank < best_rank:
+                best_key, best_rank = key, rank
+        if best_key is None:
+            raise ConfigError("Chimera list scheduling wedged (internal error)")
+        task = pending.pop(best_key)
+        start = best_rank[0]
+        end_times[best_key] = start + task.duration
+        device_free[task.device] = start + task.duration
+        flight_key = (best_key.pipe, best_key.stage)
+        if best_key.kind == TaskKind.FORWARD:
+            in_flight[flight_key] = in_flight.get(flight_key, 0) + 1
+        else:
+            in_flight[flight_key] = in_flight.get(flight_key, 0) - 1
+        order[task.device].append(task)
+    return order
+
+
+def _assert_matches_reference(costs, num_micro_batches, hop, forward_doubling):
+    weight = 2 if forward_doubling else 1
+    tasks = _build_tasks(costs, num_micro_batches // (2 * weight), weight)
+    expected = _reference_list_schedule(tasks, len(costs), hop)
+    schedule = chimera_schedule(
+        costs, num_micro_batches, hop_time=hop, forward_doubling=forward_doubling
+    )
+    assert schedule.device_tasks == expected
+
+
+_TIED = st.sampled_from([0.0, 1.0, 2.0])
+_UNIFORM = st.floats(min_value=0.0, max_value=3.0)
+
+
+@st.composite
+def _chimera_cases(draw):
+    p = 2 * draw(st.integers(min_value=1, max_value=5))
+    durations = draw(st.sampled_from([_TIED, _UNIFORM]))
+    backwards = st.one_of(durations, st.just(math.inf))
+    costs = [
+        StageCosts(forward=draw(durations), backward=draw(backwards))
+        for _ in range(p)
+    ]
+    forward_doubling = draw(st.booleans())
+    entities_per_pipe = draw(st.integers(min_value=1, max_value=4))
+    num_micro_batches = entities_per_pipe * 2 * (2 if forward_doubling else 1)
+    hop = draw(st.one_of(st.just(0.0), _TIED, _UNIFORM))
+    return costs, num_micro_batches, hop, forward_doubling
+
+
+class TestChimeraListScheduleOracle:
+    """The per-stream scheduler returns the scan's device orders exactly."""
+
+    @given(case=_chimera_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_scan(self, case):
+        _assert_matches_reference(*case)
+
+    def test_matches_reference_scan_p8_n64(self):
+        costs = [
+            StageCosts(forward=1.0 + 0.1 * stage, backward=2.0 + 0.2 * stage)
+            for stage in range(8)
+        ]
+        _assert_matches_reference(costs, 64, 0.05, forward_doubling=False)
