@@ -1,4 +1,4 @@
-"""Bench: the robustness ensemble (the ISSUE's CI smoke job).
+"""Bench: the robustness ensemble (the CI robustness smoke job).
 
 ``evaluate_robustness`` runs 1 nominal + K ensemble + (p + 1) criticality
 simulations per report; this bench pins the ensemble's wall time on a
@@ -7,10 +7,10 @@ simulator engines show up in the uploaded ``BENCH_robustness.json``.
 
 The ``batch``-named benches pin the batched vectorized path (uploaded
 separately as ``BENCH_batch.json``): one p=4, K=32 ensemble executed as a
-single numpy sweep must beat the scalar per-draw path by >= 10x — with
-bit-identical results. The scalar benches here keep ``engine="compiled"``
-explicitly, so they keep measuring the per-draw floor the batched path is
-compared against.
+single numpy sweep must beat the per-draw path by >= 10x — with
+bit-identical results. The per-draw benches here pass ``engine="reference"``
+explicitly: the per-draw oracle runs every draw through
+``simulate_reference``, the floor the batched path is compared against.
 """
 
 import random
@@ -19,7 +19,7 @@ from benchmarks.common import best_of
 from repro.core.robust import evaluate_robustness
 from repro.pipeline.perturb import PerturbationSpec, perturb_schedule
 from repro.pipeline.schedules import one_f_one_b_schedule
-from repro.pipeline.simulator import simulate
+from repro.pipeline.simulator import simulate_reference
 from repro.pipeline.tasks import StageCosts
 
 P, N, DRAWS = 4, 64, 8
@@ -27,8 +27,8 @@ P, N, DRAWS = 4, 64, 8
 #: Ensemble size of the batched benches — the ISSUE's K >= 32 floor.
 BATCH_DRAWS = 32
 
-#: The batched sweep must be at least this much faster than the scalar
-#: per-draw path on the same ensemble.
+#: The batched sweep must be at least this much faster than the per-draw
+#: reference path on the same ensemble.
 BATCH_SPEEDUP_FLOOR = 10.0
 
 
@@ -58,14 +58,14 @@ def test_perturb_lowering_latency(benchmark):
 
 
 def test_robustness_ensemble(benchmark):
-    """The full p=4, K=8 report on the scalar per-draw path: ensemble +
-    criticality differences. Pinned to ``engine="compiled"`` with caching
+    """The full p=4, K=8 report on the per-draw path: ensemble +
+    criticality differences. Pinned to ``engine="reference"`` with caching
     off so the bench keeps measuring per-draw compute, not cache hits."""
     schedule = _schedule()
     spec = _spec()
     report = benchmark(
         lambda: evaluate_robustness(
-            schedule, spec, DRAWS, engine="compiled", cache=False
+            schedule, spec, DRAWS, engine="reference", cache=False
         )
     )
     assert len(report.times) == DRAWS
@@ -81,8 +81,9 @@ def test_robustness_ensemble(benchmark):
 
 
 def test_ensemble_overhead_floor(benchmark):
-    """A scalar report is K+p+2 simulations plus K+p+1 spec lowerings; the
-    statistics/bookkeeping on top may not add more than ~3x slack."""
+    """A per-draw report is K+p+2 reference simulations plus K+p+1 spec
+    lowerings; the statistics/bookkeeping on top may not add more than ~3x
+    slack."""
     schedule = _schedule()
     spec = _spec()
     sims = 1 + DRAWS + P + 1
@@ -90,10 +91,10 @@ def test_ensemble_overhead_floor(benchmark):
 
     def _sequential():
         return evaluate_robustness(
-            schedule, spec, DRAWS, engine="compiled", cache=False
+            schedule, spec, DRAWS, engine="reference", cache=False
         )
 
-    single = best_of(lambda: simulate(schedule, cache=False))
+    single = best_of(lambda: simulate_reference(schedule))
     lower = best_of(lambda: perturb_schedule(schedule, spec))
     ensemble = best_of(_sequential)
     budget = sims * single + lowerings * lower
@@ -134,8 +135,8 @@ def test_batched_ensemble(benchmark):
 
 def test_batched_vs_sequential_floor(benchmark):
     """The acceptance gate: at p=4, K=32 the batched sweep must beat the
-    sequential scalar path by >= 10x, and the reports — every ensemble
-    iteration time included — must be bit-identical."""
+    sequential per-draw reference path by >= 10x, and the reports — every
+    ensemble iteration time included — must be bit-identical."""
     schedule = _schedule()
     spec = _spec()
 
@@ -146,7 +147,7 @@ def test_batched_vs_sequential_floor(benchmark):
 
     def _sequential():
         return evaluate_robustness(
-            schedule, spec, BATCH_DRAWS, engine="compiled", cache=False
+            schedule, spec, BATCH_DRAWS, engine="reference", cache=False
         )
 
     batched_report = _batched()  # also warms the jitter memo

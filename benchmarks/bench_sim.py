@@ -1,13 +1,16 @@
 """Bench: the simulator engines themselves.
 
 The strategy sweep and the experiment harness both lean on ``simulate``;
-this bench pins the compiled ready-queue engine's advantage over the
-reference polling oracle on a large schedule (p=16, n=256 — 8192 tasks),
-and the cross-run cache's replay speed on top.
+this bench pins its advantage — the batched wavefront run at R = 1 — over
+the reference polling oracle on a large schedule (p=16, n=256 — 8192
+tasks), and the cross-run cache's replay speed on top.
 
-Acceptance floors (asserted in ``test_speedup_floors``): compiled ≥ 5x
-faster than reference with a warm lowering, cache replay ≥ 50x faster
-than reference.
+Acceptance floors (asserted in ``test_speedup_floors``): ``simulate`` ≥ 5x
+faster than ``simulate_reference``, cache replay ≥ 50x faster than
+reference. ``simulate`` is timed on its first call of each fresh
+schedule, as ``evaluate_plan`` calls it: only the lowering is warm (the
+generator's ``validate()``), so the level plan it builds is inside the
+timing.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 
 from benchmarks.common import best_of
 from repro.pipeline.schedules import one_f_one_b_schedule
-from repro.pipeline.simulator import SimulationCache, simulate
+from repro.pipeline.simulator import SimulationCache, simulate, simulate_reference
 from repro.pipeline.tasks import StageCosts
 
 P, N = 16, 256
@@ -37,12 +40,20 @@ def _large_schedule():
     return one_f_one_b_schedule(costs, N, hop_time=0.05)
 
 
-@pytest.mark.parametrize("engine", ["compiled", "reference"])
-def test_sim_engine_latency(benchmark, engine):
-    """Uncached single-run latency per engine (lowering pre-warmed by the
-    generator's validate(), as in every real code path)."""
-    schedule = _large_schedule()
-    result = benchmark(lambda: simulate(schedule, engine=engine, cache=False))
+_ENGINES = {
+    "simulate": lambda schedule: simulate(schedule, cache=False),
+    "reference": simulate_reference,
+}
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_engine_latency(benchmark, engine):
+    """Uncached single-run latency per engine, each round on a fresh
+    schedule (lowering pre-warmed by the generator's validate(), as in
+    every real code path)."""
+    result = benchmark.pedantic(
+        _ENGINES[engine], setup=lambda: ((_large_schedule(),), {}), rounds=5
+    )
     assert result.iteration_time > 0
 
 
@@ -57,25 +68,26 @@ def test_sim_cache_replay(benchmark):
 
 
 def test_speedup_floors(benchmark):
-    """The ISSUE's acceptance floors: compiled ≥5x, cache replay ≥50x."""
+    """The acceptance floors: ``simulate`` ≥5x on first calls, cache
+    replay ≥50x."""
     schedule = _large_schedule()
-    reference = best_of(lambda: simulate(schedule, engine="reference", cache=False))
-    compiled = best_of(lambda: simulate(schedule, engine="compiled", cache=False))
+    reference = best_of(lambda: simulate_reference(schedule))
+    fresh = iter([_large_schedule() for _ in range(5)])
+    fast = best_of(lambda: simulate(next(fresh), cache=False), repeats=5)
     cache = SimulationCache()
     simulate(schedule, cache=cache)
     replay = best_of(lambda: simulate(schedule, cache=cache))
 
     benchmark.pedantic(
-        lambda: simulate(schedule, engine="compiled", cache=False),
-        rounds=1, iterations=1,
+        lambda: simulate(schedule, cache=False), rounds=1, iterations=1
     )
     benchmark.extra_info.update(
         tasks=2 * P * N,
         reference_s=round(reference, 6),
-        compiled_s=round(compiled, 6),
+        simulate_s=round(fast, 6),
         cache_replay_s=round(replay, 6),
-        compiled_speedup=round(reference / compiled, 2),
+        simulate_speedup=round(reference / fast, 2),
         replay_speedup=round(reference / replay, 2),
     )
-    assert reference / compiled >= 5.0
+    assert reference / fast >= 5.0
     assert reference / replay >= 50.0

@@ -29,7 +29,7 @@ import graph (:mod:`repro.analysis.project`), call graph
 * **transform-purity** — nothing reachable from the §9 duration
   transforms mutates arguments, writes module state, or performs I/O;
 * **float-order-divergence** — the paired lowering expressions the
-  tri-engine bit-equivalence rests on share one canonical op order.
+  engines' bit-equivalence rests on share one canonical op order.
 
 Registries need no rule: every schedule-kind site reads the one
 schedule-family table (:mod:`repro.pipeline.schedules.families`), and

@@ -2,7 +2,7 @@
 
 The DP search, the simulator, and plan serialization must be
 bit-deterministic: the simulation cache replays results across runs, the
-compiled engine is cross-checked bit-for-bit against the reference oracle,
+fast simulator is cross-checked bit-for-bit against the reference oracle,
 and plan signatures are compared across sweep modes. Three syntactic
 hazards undermine that:
 

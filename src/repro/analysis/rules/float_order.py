@@ -1,11 +1,12 @@
 """float-order-divergence: paired float expressions must share op order.
 
-The tri-engine invariant (compiled / reference / batched produce
-bit-identical iteration times) and the scalar/batched perturbation
-equivalence both rest on *op-order agreement*: floating-point addition
-and multiplication are not associative, so ``(d * f) * j + delay`` and
-``d * (f * j) + delay`` can differ in the last ulp — enough to flip an
-argmin and desynchronize caches keyed on simulated times. The repo keeps
+The engine invariant (the batched fast path and the reference oracle
+produce bit-identical iteration times) and the scalar/batched
+perturbation equivalence both rest on *op-order agreement*:
+floating-point addition and multiplication are not associative, so
+``(d * f) * j + delay`` and ``d * (f * j) + delay`` can differ in the
+last ulp — enough to flip an argmin and desynchronize caches keyed on
+simulated times. The repo keeps
 these expression pairs aligned by convention (ALGORITHMS.md §9, §13);
 this rule aligns them by construction.
 
@@ -108,8 +109,8 @@ DEFAULT_FLOAT_CONTRACTS: Tuple[FloatOrderContract, ...] = (
             ),
             FloatSite(
                 path="pipeline/batched.py",
-                func="BatchedSchedule._addend_columns",
-                roles=(("add", "addend"), ("_overlap_vals", "overlap")),
+                func="BatchedSchedule._addends",
+                roles=(("add", "addend"), ("overlap_vals", "overlap")),
             ),
         ),
     ),

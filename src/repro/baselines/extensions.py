@@ -260,8 +260,8 @@ def evaluate_interleaved(
     """Plan + simulate an interleaved configuration.
 
     Like :func:`repro.core.evaluate.evaluate_plan`, the returned plan's
-    metadata records which simulator engine ran and whether the cross-run
-    simulation cache replayed a memoized result.
+    metadata records whether the cross-run simulation cache replayed a
+    memoized result.
     """
     from repro.pipeline.schedules import interleaved_1f1b_schedule
     from repro.pipeline.simulator import simulate_with_info
@@ -276,7 +276,6 @@ def evaluate_interleaved(
     result, sim_info = simulate_with_info(schedule)
     oom = bool(result.oom_devices(ctx.cluster.device.usable_memory_bytes))
     plan = plan.with_metadata(
-        sim_engine=sim_info["engine"],
         sim_cache_hit=sim_info["cache_hit"],
         sim_cache_hits=sim_info["cache_hits"],
         sim_cache_misses=sim_info["cache_misses"],

@@ -104,8 +104,8 @@ def evaluate_plan(
     stages synchronise concurrently after the last backward).
 
     The returned evaluation's plan carries simulator observability in its
-    metadata (``sim_engine``, ``sim_cache_hit`` and the cumulative
-    simulation-cache counters), mirroring the sweep's search counters, and
+    metadata (``sim_cache_hit`` and the cumulative simulation-cache
+    counters), mirroring the sweep's search counters, and
     the memory audit's summary (``mem_model_peak_bytes``,
     ``mem_sim_peak_bytes``, ``mem_model_conservative``,
     ``mem_model_max_rel_gap``) cross-checking the Section 4.2 model against
@@ -156,7 +156,6 @@ def evaluate_plan(
             oom = bool(result.oom_devices(cluster.device.usable_memory_bytes))
     summary = audit.summary()
     plan = plan.with_metadata(
-        sim_engine=sim_info["engine"],
         sim_cache_hit=sim_info["cache_hit"],
         sim_cache_hits=sim_info["cache_hits"],
         sim_cache_misses=sim_info["cache_misses"],

@@ -7,10 +7,10 @@ in-flight counts follow the interleaved warmup pattern — but the task
 order is cost-independent combinatorics, so the exact per-stage peaks come
 from :func:`repro.profiler.memory.in_flight_micro_batches` (which replays
 that order; it provably matches the simulator-measured
-:func:`repro.pipeline.tracing.stage_in_flight_peaks`). This extension then
-solves one knapsack **per device** over the union of its chunks'
-computation units, with each item weighted by its own stage's multiplier
-and all chunks drawing on the device's shared memory budget.
+:func:`repro.pipeline.tracing.stage_in_flight_micro_batch_peaks`). This
+extension then solves one knapsack **per device** over the union of its
+chunks' computation units, with each item weighted by its own stage's
+multiplier and all chunks drawing on the device's shared memory budget.
 
 This is a natural "future work" completion of the paper: the same
 cost-model-plus-knapsack machinery, driven by the schedule-aware
@@ -198,7 +198,6 @@ def evaluate_interleaved_adaptive(
     audit = audit_schedule_memory(schedule, "interleaved", result=result)
     summary = audit.summary()
     plan = plan.with_metadata(
-        sim_engine=sim_info["engine"],
         sim_cache_hit=sim_info["cache_hit"],
         sim_cache_hits=sim_info["cache_hits"],
         sim_cache_misses=sim_info["cache_misses"],

@@ -30,13 +30,13 @@ into one ``(2 + K + p) x tasks`` duration matrix and swept through the
 batched vectorized executor (:mod:`repro.pipeline.batched`) in one numpy
 call: perturbations are pure duration/hop transforms, so the DAG is
 lowered once and only the numbers change per row (ALGORITHMS.md section
-11). The scalar per-draw path — ``perturb_schedule`` + ``simulate`` per
-ensemble member — is kept verbatim behind ``engine="compiled"`` /
-``engine="reference"`` as the bit-equivalence oracle: every batched
-report equals the scalar engines' report exactly (fuzz-pinned in
-``tests/test_batched.py``). Completed ensembles are cached whole in an
-:class:`EnsembleCache` keyed by :func:`ensemble_digest` — one lookup per
-report instead of K+p+2 per-draw ``SimulationCache`` probes.
+11). The per-draw path — ``perturb_schedule`` + ``simulate_reference``
+per ensemble member — is kept verbatim behind ``engine="reference"`` as
+the bit-equivalence oracle: every batched report equals the reference
+report exactly (fuzz-pinned in ``tests/test_batched.py``). Completed
+ensembles are cached whole, keyed by :func:`ensemble_digest`, in a
+:class:`~repro.pipeline.simulator.SimulationCache` — one lookup per
+report, whichever engine computes a miss.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -60,17 +59,15 @@ from repro.pipeline.perturb import (
     perturb_schedule,
 )
 from repro.pipeline.simulator import (
-    _ENGINE_ENV,
     SimulationCache,
-    simulate,
-    simulation_cache_disabled,
+    resolve_cache,
+    simulate_reference,
 )
 from repro.pipeline.tasks import Schedule
 
 __all__ = [
     "ROBUST_ENGINES",
     "ROBUST_OBJECTIVES",
-    "EnsembleCache",
     "RobustnessReport",
     "cluster_perturbation",
     "ensemble_digest",
@@ -84,10 +81,8 @@ __all__ = [
 ROBUST_OBJECTIVES = ("nominal", "mean", "p95", "worst")
 
 #: Robustness execution paths: the batched vectorized sweep (default) and
-#: the two scalar simulator engines, kept as bit-equivalence oracles.
-#: ``REPRO_SIM_ENGINE=compiled|reference`` forces the scalar path here
-#: exactly as it selects the engine for ``simulate``.
-ROBUST_ENGINES = ("batched", "compiled", "reference")
+#: the per-draw reference engine, kept as the bit-equivalence oracle.
+ROBUST_ENGINES = ("batched", "reference")
 
 #: Relative factor bump used by the criticality finite difference.
 CRITICALITY_EPSILON = 0.25
@@ -256,8 +251,8 @@ def ensemble_digest(
     Covers everything a :class:`RobustnessReport` depends on: the
     schedule's full content digest, the spec's content digest, the draw
     count and the criticality epsilon. The engine is deliberately
-    excluded — batched and scalar paths are bit-equivalent (the tested
-    invariant), so one cache entry serves all of them.
+    excluded — the batched and reference paths are bit-equivalent (the
+    tested invariant), so one cache entry serves both.
     """
     payload = (
         f"robust-ensemble-v1|{schedule.digest()}|{spec.content_digest()}"
@@ -266,81 +261,21 @@ def ensemble_digest(
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
-class EnsembleCache:
-    """Cross-run memo of whole :class:`RobustnessReport` objects.
-
-    Keyed by :func:`ensemble_digest`; entries are evicted FIFO past
-    ``max_entries``. Reports are frozen dataclasses, so hits share the
-    stored object. One hit replaces the ``2 + K + p`` per-draw
-    ``SimulationCache`` lookups the scalar path performs.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        self._entries: "OrderedDict[str, RobustnessReport]" = OrderedDict()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def get(self, digest: str) -> Optional[RobustnessReport]:
-        found = self._entries.get(digest)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
-
-    def put(self, digest: str, report: RobustnessReport) -> None:
-        self._entries[digest] = report
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+_GLOBAL_ENSEMBLE_CACHE: "SimulationCache[RobustnessReport]" = SimulationCache()
 
 
-_GLOBAL_ENSEMBLE_CACHE = EnsembleCache()
-
-
-def global_ensemble_cache() -> EnsembleCache:
-    """The process-wide cache batched robustness consults by default."""
+def global_ensemble_cache() -> "SimulationCache[RobustnessReport]":
+    """The process-wide cache robustness evaluation consults by default."""
     return _GLOBAL_ENSEMBLE_CACHE
 
 
 def _resolve_robust_engine(engine: Optional[str]) -> str:
-    engine = engine or os.environ.get(_ENGINE_ENV) or "batched"
+    engine = engine or "batched"
     if engine not in ROBUST_ENGINES:
         raise ValueError(
             f"unknown robustness engine {engine!r}; pick from {ROBUST_ENGINES}"
         )
     return engine
-
-
-def _resolve_ensemble_cache(
-    cache: Union[EnsembleCache, bool, None]
-) -> Optional[EnsembleCache]:
-    if cache is None:
-        if simulation_cache_disabled():
-            return None
-        return _GLOBAL_ENSEMBLE_CACHE
-    if cache is False:
-        return None
-    if cache is True:
-        return _GLOBAL_ENSEMBLE_CACHE
-    return cache  # an explicit EnsembleCache
 
 
 def _validate_ensemble_args(draws: int, criticality_epsilon: float) -> None:
@@ -497,37 +432,33 @@ def _evaluate_scalar(
     schedule: Schedule,
     spec: PerturbationSpec,
     draws: int,
-    *,
-    engine: Optional[str],
-    cache: Union[SimulationCache, bool, None],
     criticality_epsilon: float,
 ) -> RobustnessReport:
     """The per-draw oracle path: perturb, re-lower and simulate each row.
 
-    Kept verbatim from the pre-batched implementation — this is the
-    semantics the batched sweep must reproduce bit-for-bit.
+    Kept verbatim from the pre-batched implementation, on the reference
+    engine — this is the semantics the batched sweep must reproduce
+    bit-for-bit.
     """
-    nominal = simulate(schedule, engine=engine, cache=cache).iteration_time
+    nominal = simulate_reference(schedule).iteration_time
     times = tuple(
-        simulate(
-            perturb_schedule(schedule, spec.reseeded(k)),
-            engine=engine,
-            cache=cache,
+        simulate_reference(
+            perturb_schedule(schedule, spec.reseeded(k))
         ).iteration_time
         for k in range(draws)
     )
 
     base_spec = _deterministic_spec(spec)
     base_schedule = perturb_schedule(schedule, base_spec)
-    base_time = simulate(base_schedule, engine=engine, cache=cache).iteration_time
+    base_time = simulate_reference(base_schedule).iteration_time
     criticality = []
     for device in range(schedule.num_devices):
         factor = base_spec.factor_for(device)
         bumped = base_spec.with_device_factor(
             device, factor * (1.0 + criticality_epsilon)
         )
-        bumped_time = simulate(
-            perturb_schedule(schedule, bumped), engine=engine, cache=cache
+        bumped_time = simulate_reference(
+            perturb_schedule(schedule, bumped)
         ).iteration_time
         if base_time > 0:
             criticality.append(
@@ -552,7 +483,7 @@ def evaluate_robustness(
     draws: int = 16,
     *,
     engine: Optional[str] = None,
-    cache: Union[EnsembleCache, SimulationCache, bool, None] = None,
+    cache: Union[SimulationCache[RobustnessReport], bool, None] = None,
     criticality_epsilon: float = CRITICALITY_EPSILON,
 ) -> RobustnessReport:
     """Run the perturbation ensemble and the criticality differences.
@@ -564,42 +495,33 @@ def evaluate_robustness(
             while factors/stalls/links stay fixed.
         draws: ensemble size ``K``; 0 skips the ensemble (the statistics
             then report the deterministic perturbed time).
-        engine: one of :data:`ROBUST_ENGINES`; default (or
-            ``REPRO_SIM_ENGINE``) picks the batched vectorized sweep,
-            ``"compiled"`` / ``"reference"`` force the scalar per-draw
-            oracle through :func:`repro.pipeline.simulator.simulate`.
-        cache: batched path: an :class:`EnsembleCache`, ``None`` for the
-            process-global one (unless ``REPRO_SIM_CACHE`` disables it)
-            or ``False`` for none. Passing a
-            :class:`~repro.pipeline.simulator.SimulationCache` requests
-            per-draw caching semantics and therefore the scalar path.
+        engine: one of :data:`ROBUST_ENGINES` — how a cache miss is
+            computed. The default picks the batched vectorized sweep;
+            ``"reference"`` runs the per-draw oracle through
+            :func:`repro.pipeline.simulator.simulate_reference`.
+        cache: a :class:`~repro.pipeline.simulator.SimulationCache` of
+            whole reports, ``None`` for the process-global one (unless
+            ``REPRO_SIM_CACHE`` disables it), ``True`` for the global one
+            regardless, or ``False`` for none.
         criticality_epsilon: relative bump for the finite difference.
 
     Determinism: the report depends only on (schedule content, spec,
     draws, epsilon) — property-tested in ``tests/test_robustness.py`` —
-    and is bit-identical across every engine (``tests/test_batched.py``).
+    and is bit-identical across both engines (``tests/test_batched.py``).
     """
     _validate_ensemble_args(draws, criticality_epsilon)
-    resolved = _resolve_robust_engine(engine)
-    if resolved != "batched" or isinstance(cache, SimulationCache):
-        scalar_engine = None if resolved == "batched" else resolved
-        return _evaluate_scalar(
-            schedule,
-            spec,
-            draws,
-            engine=scalar_engine,
-            cache=cache,
-            criticality_epsilon=criticality_epsilon,
-        )
-    ens_cache = _resolve_ensemble_cache(cache)
-    digest = None
-    if ens_cache is not None:
-        digest = ensemble_digest(schedule, spec, draws, criticality_epsilon)
-        found = ens_cache.get(digest)
-        if found is not None:
-            return found
-    report = _evaluate_batched(schedule, spec, draws, criticality_epsilon)
-    if ens_cache is not None and digest is not None:
+    evaluate = (
+        _evaluate_batched
+        if _resolve_robust_engine(engine) == "batched"
+        else _evaluate_scalar
+    )
+    ens_cache = resolve_cache(cache, _GLOBAL_ENSEMBLE_CACHE)
+    if ens_cache is None:
+        return evaluate(schedule, spec, draws, criticality_epsilon)
+    digest = ensemble_digest(schedule, spec, draws, criticality_epsilon)
+    report = ens_cache.get(digest)
+    if report is None:
+        report = evaluate(schedule, spec, draws, criticality_epsilon)
         ens_cache.put(digest, report)
     return report
 
@@ -610,7 +532,7 @@ def evaluate_robustness_many(
     draws: int = 16,
     *,
     engine: Optional[str] = None,
-    cache: Union[EnsembleCache, SimulationCache, bool, None] = None,
+    cache: Union[SimulationCache[RobustnessReport], bool, None] = None,
     criticality_epsilon: float = CRITICALITY_EPSILON,
 ) -> List[RobustnessReport]:
     """:func:`evaluate_robustness` for many schedules, batched by shape.
@@ -627,22 +549,20 @@ def evaluate_robustness_many(
     """
     schedules = list(schedules)
     _validate_ensemble_args(draws, criticality_epsilon)
-    resolved = _resolve_robust_engine(engine)
-    if resolved != "batched" or isinstance(cache, SimulationCache):
-        scalar_engine = None if resolved == "batched" else resolved
+    if _resolve_robust_engine(engine) == "reference":
         return [
-            _evaluate_scalar(
+            evaluate_robustness(
                 schedule,
                 spec,
                 draws,
-                engine=scalar_engine,
+                engine="reference",
                 cache=cache,
                 criticality_epsilon=criticality_epsilon,
             )
             for schedule in schedules
         ]
 
-    ens_cache = _resolve_ensemble_cache(cache)
+    ens_cache = resolve_cache(cache, _GLOBAL_ENSEMBLE_CACHE)
     reports: List[Optional[RobustnessReport]] = [None] * len(schedules)
     digests: List[Optional[str]] = [None] * len(schedules)
     groups: "OrderedDict[str, List[int]]" = OrderedDict()

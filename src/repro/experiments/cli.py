@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     robust.add_argument(
         "--engine", default=None, choices=ROBUST_ENGINES,
         help="ensemble execution path: the batched vectorized sweep "
-             "(default) or a scalar per-draw oracle engine",
+             "(default) or the per-draw reference oracle",
     )
     robust.add_argument("--sigma", type=float, default=0.05,
                         help="lognormal per-task jitter sigma")

@@ -18,9 +18,9 @@ quantity against each other:
    (conservative everywhere, exact wherever the row claims
    ``exact_in_flight``);
 9. the new schedule families — 2BP split backward and overlapped
-   recomputation: tri-engine bit-equality (compiled / reference /
-   batched), 2BP strictly shrinking the bubble at equal peak memory,
-   and fused-vs-explicit overlap lowering equivalence;
+   recomputation: bit-equality of ``simulate`` (the batched fast path)
+   and the reference engine, 2BP strictly shrinking the bubble at equal
+   peak memory, and fused-vs-explicit overlap lowering equivalence;
 10. adalint — the domain-aware static analysis pass over the installed
     package (digest coverage, determinism, unit consistency, frozen
     mutation, transform purity, float op order) must report zero
@@ -106,23 +106,24 @@ def _check_knapsack() -> CheckResult:
 def _check_phase_model() -> CheckResult:
     from repro.pipeline.batched import batched_simulator
     from repro.pipeline.schedules import one_f_one_b_schedule
-    from repro.pipeline.simulator import simulate
+    from repro.pipeline.simulator import simulate, simulate_reference
     from repro.pipeline.tasks import StageCosts
 
     worst = 0.0
-    batched_exact = True
+    exact = True
     for p, n, f, b in ((2, 4, 1.0, 2.0), (4, 12, 0.7, 1.4), (8, 8, 1.0, 2.5)):
         costs = [StageCosts(forward=f, backward=b) for _ in range(p)]
         schedule = one_f_one_b_schedule(costs, n)
         simulated = simulate(schedule).iteration_time
         sim = batched_simulator(schedule)
         batched = float(sim.iteration_times(sim.raw_durations)[0])
-        batched_exact = batched_exact and batched == simulated
+        reference = simulate_reference(schedule).iteration_time
+        exact = exact and simulated == batched == reference
         modeled = (n + p - 1) * (f + b)
         worst = max(worst, abs(simulated - modeled) / modeled)
-    ok = worst < 1e-9 and batched_exact
-    detail = f"max rel gap {worst:.2e}, batched sweep " + (
-        "bit-exact" if batched_exact else "MISMATCH"
+    ok = worst < 1e-9 and exact
+    detail = f"max rel gap {worst:.2e}, ensemble sweep and reference " + (
+        "bit-exact" if exact else "MISMATCH"
     )
     return ("1F1B phase model vs simulator", ok, detail)
 
@@ -314,13 +315,12 @@ def _check_memory_audit() -> CheckResult:
 def _check_schedule_families() -> CheckResult:
     """Differential check of the 2BP and overlapped-recompute families.
 
-    On a pinned p=4 fixture: all three engines must agree bit-for-bit on
-    every family; 2BP must strictly shrink the pipeline bubble vs 1F1B at
-    identical per-device activation peaks; and the fused ``Task.overlap``
-    lowering must agree with explicit ``RECOMPUTE`` tasks to float
-    round-off.
+    On a pinned p=4 fixture: ``simulate`` and the reference engine must
+    agree bit-for-bit on every family; 2BP must strictly shrink the
+    pipeline bubble vs 1F1B at identical per-device activation peaks; and
+    the fused ``Task.overlap`` lowering must agree with explicit
+    ``RECOMPUTE`` tasks to float round-off.
     """
-    from repro.pipeline.batched import batched_simulator
     from repro.pipeline.schedules import (
         one_f_one_b_2bp,
         one_f_one_b_overlapped,
@@ -340,13 +340,12 @@ def _check_schedule_families() -> CheckResult:
     fused = one_f_one_b_overlapped(costs, n, hop_time=hop, fused=True)
 
     for schedule in (twobp, explicit, fused):
-        compiled = simulate(schedule)
+        fast = simulate(schedule)
         reference = simulate_reference(schedule)
-        sim = batched_simulator(schedule)
-        batched = float(sim.iteration_times(sim.raw_durations)[0])
         if not (
-            compiled.iteration_time == reference.iteration_time == batched
-            and compiled.device_peak_bytes == reference.device_peak_bytes
+            fast.iteration_time == reference.iteration_time
+            and fast.end_times == reference.end_times
+            and fast.device_peak_bytes == reference.device_peak_bytes
         ):
             return (
                 "2BP / overlapped schedule families",
@@ -376,7 +375,7 @@ def _check_schedule_families() -> CheckResult:
     )
     ok = fuse_gap < 1e-9
     detail = (
-        f"tri-engine bit-exact; bubble {base_bubble:.1f} -> {split_bubble:.1f} "
+        f"engines bit-exact; bubble {base_bubble:.1f} -> {split_bubble:.1f} "
         f"at equal peaks; fused/explicit gap {fuse_gap:.1e}"
     )
     return ("2BP / overlapped schedule families", ok, detail)

@@ -8,9 +8,10 @@ only flat lists:
 * per task: duration, device, a signed memory delta (``+activation_bytes``
   pinned at forward start, ``-activation_bytes`` released at the end of the
   forward's *releasing* twin — grad-weight when the backward is split,
-  the plain backward otherwise), and the number of incoming edges (unique
-  dependencies plus the implicit device-order edge to the previous task on
-  the same device);
+  the plain backward otherwise), the device that delta is charged to (the
+  forward's device, for the pin and the release alike), and the number of
+  incoming edges (unique dependencies plus the implicit device-order edge
+  to the previous task on the same device);
 * per edge: the successor index and the hop addend (``hop_time`` — or the
   link's ``Schedule.link_hops`` override — when the edge crosses devices,
   ``0.0`` otherwise), stored in CSR layout. A destination task with a
@@ -35,7 +36,7 @@ already lowered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.pipeline.tasks import RELEASE_KINDS, Schedule, Task, TaskKey, TaskKind
 
@@ -44,9 +45,31 @@ class SimulationError(RuntimeError):
     """Raised on malformed schedules (unresolvable dependencies)."""
 
 
+def deadlock_message(schedule: Schedule, finished: Iterable[TaskKey]) -> str:
+    """Per device, name the next waiting task *and* its unmet dependencies,
+    so malformed schedules point straight at the broken edge.
+
+    ``finished`` is the set of tasks that could run; both engines reach the
+    same set (every task whose dependencies and device predecessors can
+    run), so they report the same message.
+    """
+    finished = set(finished)
+    stuck: List[str] = []
+    for d in range(schedule.num_devices):
+        for task in schedule.device_tasks[d]:
+            if task.key in finished:
+                continue
+            unmet = ", ".join(
+                str(dep) for dep in task.deps if dep not in finished
+            )
+            stuck.append(f"{task.key} (device {d}) waiting on [{unmet}]")
+            break
+    return f"schedule deadlock; waiting tasks: [{'; '.join(stuck)}]"
+
+
 @dataclass
 class CompiledSchedule:
-    """A schedule lowered to arrays, ready for the ready-queue engine.
+    """A schedule lowered to arrays, ready for the wavefront executor.
 
     Task indices follow enumeration order: device 0's tasks in list order,
     then device 1's, and so on — consecutive tasks of one device therefore
@@ -62,25 +85,19 @@ class CompiledSchedule:
         mem_delta: task index -> signed activation bytes (positive deltas
             apply at the task's start, negative at its end, zero means no
             memory event).
+        mem_device: task index -> device its memory event is charged to:
+            the forward twin's device, for the pin and its release alike
+            (as the reference engine charges them).
         indegree: incoming-edge count per task (unique dependencies + the
             device-order edge).
         succ_ptr / succ_idx / succ_add: CSR adjacency over outgoing edges;
             ``succ_add`` is the communication addend of each edge.
-        rows: per-task ``(duration, device, mem_delta, successors)`` tuples,
-            with ``successors`` a tuple of ``(successor index, addend)``
-            pairs — the same data as the columnar arrays, packed so the
-            engine's hot loop does one list index and one unpack per task.
         dep_indices: unique dependency indices per task (diagnostics).
         device_last: last task index per device (``-1`` when idle all
             iteration).
         device_busy: per-device busy seconds, summed in list order.
         device_passes: per-device weighted micro-batch passes (``weight``
             summed over the device's tasks).
-        same_device_twins: True when every releasing task's forward twin
-            runs on the releasing task's own device — the invariant the
-            incremental memory tracker relies on (``Schedule.validate``
-            enforces it; the engine falls back to the reference path when
-            it is absent).
         num_edges: total edge count (dependency + device-order).
     """
 
@@ -91,16 +108,15 @@ class CompiledSchedule:
     device: List[int]
     duration: List[float]
     mem_delta: List[float]
+    mem_device: List[int]
     indegree: List[int]
     succ_ptr: List[int]
     succ_idx: List[int]
     succ_add: List[float]
-    rows: List[Tuple[float, int, float, Tuple[Tuple[int, float], ...]]]
     dep_indices: List[Tuple[int, ...]]
     device_last: List[int]
     device_busy: List[float]
     device_passes: List[int]
-    same_device_twins: bool
     num_edges: int
 
     @property
@@ -108,50 +124,61 @@ class CompiledSchedule:
         return len(self.tasks)
 
     def topological_order(self) -> List[int]:
-        """One topological order over all edges, computed once (memoized).
+        """One topological order over all edges, grouped by dependency
+        level, computed once (memoized).
 
-        A single Kahn pass over the CSR arrays (``indegree`` /
-        ``succ_ptr`` / ``succ_idx``). The batched executor precomputes
-        its level-wavefront execution plan from this order; the scalar
-        engines never need it (their ready queue discovers an order
-        dynamically). The traversal is fixed, so the order is
-        deterministic — but no consumer may depend on *which* valid
-        order is returned: the longest-path recurrence the engines
-        evaluate is order-independent (ALGORITHMS.md section 11).
+        A single level-synchronous Kahn pass over the CSR arrays
+        (``indegree`` / ``succ_ptr`` / ``succ_idx``): level 0 is every
+        task without in-edges, and level ``k + 1`` every task whose last
+        in-edge is retired while level ``k`` drains. Levels drain in
+        order, so that last in-edge comes from the task's deepest
+        predecessor, and level ``k`` holds exactly the tasks whose
+        longest path from a source has ``k`` edges: no two tasks of one
+        level share an edge. :meth:`level_starts` says where each level
+        begins; the batched executor evaluates one level per wavefront
+        step. The traversal is fixed, so the order is deterministic — but
+        no consumer may depend on *which* order inside a level is
+        returned: the longest-path recurrence the engines evaluate is
+        order-independent (ALGORITHMS.md section 11).
 
         Raises:
-            SimulationError: when the dependency graph has a cycle (the
-                same schedules the scalar engines report as deadlocked).
+            SimulationError: when the dependency graph has a cycle, with
+                the reference engine's :func:`deadlock_message` (the tasks
+                Kahn's pass reaches are exactly the tasks the reference's
+                polling loop runs before it stalls).
         """
         cached = getattr(self, "_topo_order", None)
         if cached is None:
             indegree = list(self.indegree)
-            frontier = [i for i in range(self.num_tasks) if indegree[i] == 0]
-            order: List[int] = []
-            cursor = 0
-            frontier.sort()
-            while cursor < len(frontier):
-                i = frontier[cursor]
-                cursor += 1
-                order.append(i)
-                for e in range(self.succ_ptr[i], self.succ_ptr[i + 1]):
-                    j = self.succ_idx[e]
-                    indegree[j] -= 1
-                    if indegree[j] == 0:
-                        frontier.append(j)
+            succ_ptr, succ_idx = self.succ_ptr, self.succ_idx
+            order = [i for i in range(self.num_tasks) if not indegree[i]]
+            append = order.append
+            starts = [0]
+            while starts[-1] < len(order):
+                level = order[starts[-1]:]
+                starts.append(len(order))
+                for i in level:
+                    for j in succ_idx[succ_ptr[i]:succ_ptr[i + 1]]:
+                        left = indegree[j] - 1
+                        indegree[j] = left
+                        if not left:
+                            append(j)
             if len(order) != self.num_tasks:
-                stuck = [
-                    str(self.keys[i])
-                    for i in range(self.num_tasks)
-                    if indegree[i] > 0
-                ]
                 raise SimulationError(
-                    "schedule deadlocked (dependency cycle); unfinished: "
-                    + ", ".join(stuck[:8])
-                    + ("..." if len(stuck) > 8 else "")
+                    deadlock_message(
+                        self.schedule, (self.keys[i] for i in order)
+                    )
                 )
+            self._level_starts = starts  # type: ignore[attr-defined]
             self._topo_order = cached = order  # type: ignore[attr-defined]
         return cached
+
+    def level_starts(self) -> List[int]:
+        """Where each dependency level begins in :meth:`topological_order`,
+        plus a final ``num_tasks``: level ``k`` is
+        ``order[starts[k]:starts[k + 1]]``."""
+        self.topological_order()
+        return self._level_starts  # type: ignore[attr-defined]
 
     def validate_twins(self) -> None:
         """Enforce the per-kind completeness contract (the structural
@@ -164,8 +191,8 @@ class CompiledSchedule:
           never a mix of the split and unsplit forms;
         * every backward (or half), and every ``RECOMPUTE``, needs the
           matching ``FORWARD``;
-        * all of a micro-batch's twins run on the forward's device (the
-          invariant the incremental memory tracker relies on).
+        * all of a micro-batch's twins run on the forward's device (a
+          micro-batch's activations live where its forward ran).
 
         Unlike the deadlock diagnostics' single-edge reports, twin
         violations are *collected*: the raised ``ValueError`` names every
@@ -329,7 +356,7 @@ def compile_schedule(schedule: Schedule) -> CompiledSchedule:
         succ_ptr[i + 1] = len(succ_idx)
 
     mem_delta = [0.0] * num_tasks
-    same_device_twins = True
+    mem_device = list(device)
     for i, task in enumerate(tasks):
         kind = task.key.kind
         if kind == TaskKind.FORWARD:
@@ -367,13 +394,9 @@ def compile_schedule(schedule: Schedule) -> CompiledSchedule:
         j = index.get(twin)
         if j is not None and tasks[j].activation_bytes > 0:
             mem_delta[i] = -tasks[j].activation_bytes
-            if device[j] != device[i]:
-                same_device_twins = False
-
-    rows = [
-        (duration[i], device[i], mem_delta[i], tuple(successors[i]))
-        for i in range(num_tasks)
-    ]
+            # The release frees the forward's device's memory, wherever
+            # the releasing task itself runs.
+            mem_device[i] = device[j]
 
     device_last = [-1] * schedule.num_devices
     device_busy = [0.0] * schedule.num_devices
@@ -399,15 +422,14 @@ def compile_schedule(schedule: Schedule) -> CompiledSchedule:
         device=device,
         duration=duration,
         mem_delta=mem_delta,
+        mem_device=mem_device,
         indegree=indegree,
         succ_ptr=succ_ptr,
         succ_idx=succ_idx,
         succ_add=succ_add,
-        rows=rows,
         dep_indices=dep_indices,
         device_last=device_last,
         device_busy=device_busy,
         device_passes=device_passes,
-        same_device_twins=same_device_twins,
         num_edges=len(succ_idx),
     )

@@ -21,12 +21,14 @@ time of degraded links. Crucially, the task DAG — keys, dependencies,
 devices, activation bytes, weights — is untouched, so:
 
 * both simulator engines consume the perturbed schedule through their
-  ordinary entry points, and the compiled-vs-reference bit-equivalence
-  guarantee carries over to every perturbed run for free (the fuzz suite
-  in ``tests/test_sim_engine.py`` drives exactly this);
+  ordinary entry points, and the fast-vs-reference bit-equivalence
+  guarantee carries over to every perturbed run for free (the
+  ``TestPerturbationFuzz`` suite drives exactly this);
 * the simulator's exact peak-memory accounting is preserved verbatim —
   perturbations move *when* allocations and frees happen, never *whether*
-  or *in what device-order* they happen (see ALGORITHMS.md section 9).
+  or *in what device-order* they happen. The peaks themselves can still
+  move: with zero-duration tasks, shifting one timestamp can split or
+  merge a free/alloc tie (see ALGORITHMS.md section 9).
 
 Determinism contract: the jitter draw for a task depends only on
 ``(spec.seed, task key)`` — never on iteration order — so a spec applied

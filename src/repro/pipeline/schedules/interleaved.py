@@ -134,7 +134,7 @@ def _interleaved_stage_peaks(
     needed. Forward and backward of a micro-batch run on the same device
     and devices execute in list order, so this dispatch-counter peak
     equals the simulator's measured activation-liveness peak
-    (`stage_in_flight_peaks`).
+    (`stage_in_flight_micro_batch_peaks`).
     """
     p, v, n = num_devices, num_chunks, num_micro_batches
     total_virtual = n * v

@@ -14,34 +14,29 @@ state and recompute buffer.
 The per-device high-water mark supports the paper's Figure 1/Figure 8 memory
 profiles and OOM detection for infeasible baselines.
 
-Two engines implement these semantics:
+One fast path and one oracle implement these semantics:
 
-* ``"compiled"`` (the default) lowers the schedule once into integer-indexed
-  arrays (:mod:`repro.pipeline.compiled`) and executes them with an
-  indegree/ready-queue pass that is O(tasks + edges) — no ``TaskKey``
-  hashing, no repeated device rescans, and incremental memory tracking with
-  no end-of-run event sort.
-* ``"reference"`` is the original O(devices x passes) polling loop, kept
-  verbatim as the equivalence oracle: both engines produce bit-identical
-  results (asserted by tests/test_sim_engine.py). Select it with
-  ``simulate(..., engine="reference")`` or ``REPRO_SIM_ENGINE=reference``.
+* :func:`simulate` runs the schedule's memoized
+  :class:`~repro.pipeline.batched.BatchedSchedule` — the compiled lowering
+  (:mod:`repro.pipeline.compiled`) evaluated as a level wavefront — on one
+  duration row, the schedule's own, and builds the result from that run's
+  start and finish times. Peak memory sums each device's events in the
+  reference's ``(time, delta)`` order, read from the same times.
+* :func:`simulate_reference` is the original O(devices x passes) polling
+  loop, kept as the equivalence oracle: both produce
+  bit-identical results (asserted by the engine-equivalence, perturbation
+  and heterogeneous-pool fuzz tests).
 
 On top sits a digest-keyed cross-run :class:`SimulationCache`: experiments
 that re-simulate structurally identical schedules (the same plan evaluated
 for several figures, repeated probe simulations, rebuilt executors) reuse
 the memoized :class:`SimulationResult` instead of re-running the engine.
 The cache is keyed by :func:`schedule_digest` — schedule *content*, not
-identity — plus the engine name, and can be disabled with ``cache=False``
-or ``REPRO_SIM_CACHE=0``. Cached results share their timing/memory
-structures; treat :class:`SimulationResult` as read-only.
-
-A third execution path lives in :mod:`repro.pipeline.batched`: many
-duration vectors over one unchanged DAG, swept as a single numpy matrix.
-It is not an engine here (it answers iteration times, not full
-:class:`SimulationResult` objects) but is bit-equivalent to both scalar
-engines row by row; robustness ensembles run on it by default
-(``repro.core.robust``). Its ensemble-level cache honours the same
-``REPRO_SIM_CACHE`` switch via :func:`simulation_cache_disabled`.
+identity — and can be disabled with ``cache=False`` or
+``REPRO_SIM_CACHE=0``. Cached results share their timing/memory
+structures; treat :class:`SimulationResult` as read-only. The same FIFO
+class backs the whole-ensemble cache of ``repro.core.robust``, and
+:func:`resolve_cache` resolves the ``cache`` argument for both.
 """
 
 from __future__ import annotations
@@ -51,9 +46,10 @@ import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Generic, List, Optional, Tuple, TypeVar, Union
 
-from repro.pipeline.compiled import SimulationError
+from repro.pipeline.batched import batched_simulator
+from repro.pipeline.compiled import SimulationError, deadlock_message
 from repro.pipeline.tasks import RELEASE_KINDS, Schedule, Task, TaskKey, TaskKind
 
 __all__ = [
@@ -61,6 +57,7 @@ __all__ = [
     "SimulationError",
     "SimulationResult",
     "global_simulation_cache",
+    "resolve_cache",
     "schedule_digest",
     "simulate",
     "simulate_reference",
@@ -68,9 +65,9 @@ __all__ = [
     "simulation_cache_disabled",
 ]
 
-ENGINES = ("compiled", "reference")
-_ENGINE_ENV = "REPRO_SIM_ENGINE"
 _CACHE_ENV = "REPRO_SIM_CACHE"
+
+V = TypeVar("V")
 
 
 @dataclass
@@ -172,19 +169,18 @@ def schedule_digest(schedule: Schedule) -> str:
     return digest.hexdigest()
 
 
-class SimulationCache:
-    """Cross-run memo of :class:`SimulationResult` keyed by (engine, digest).
+class SimulationCache(Generic[V]):
+    """Cross-run FIFO memo keyed by content digest.
 
-    Entries are evicted FIFO past ``max_entries``. Hits return the stored
-    result with only its ``schedule`` field re-pointed at the requesting
-    schedule (timing dicts and memory lists are shared — read-only by
-    contract).
+    Holds :class:`SimulationResult` objects keyed by
+    :func:`schedule_digest` for :func:`simulate`, and whole robustness
+    reports keyed by ``ensemble_digest`` for ``repro.core.robust``.
+    Entries are evicted FIFO past ``max_entries``. Stored values are
+    shared between hits — read-only by contract.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
-        self._entries: "OrderedDict[Tuple[str, str], SimulationResult]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[str, V]" = OrderedDict()
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -201,7 +197,7 @@ class SimulationCache:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def get(self, key: Tuple[str, str]) -> Optional[SimulationResult]:
+    def get(self, key: str) -> Optional[V]:
         found = self._entries.get(key)
         if found is None:
             self.misses += 1
@@ -209,8 +205,8 @@ class SimulationCache:
             self.hits += 1
         return found
 
-    def put(self, key: Tuple[str, str], result: SimulationResult) -> None:
-        self._entries[key] = result
+    def put(self, key: str, value: V) -> None:
+        self._entries[key] = value
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
@@ -220,38 +216,37 @@ class SimulationCache:
         self.misses = 0
 
 
-_GLOBAL_CACHE = SimulationCache()
+_GLOBAL_CACHE: "SimulationCache[SimulationResult]" = SimulationCache()
 
 
-def global_simulation_cache() -> SimulationCache:
+def global_simulation_cache() -> "SimulationCache[SimulationResult]":
     """The process-wide cache ``simulate`` consults by default."""
     return _GLOBAL_CACHE
 
 
-def _resolve_engine(engine: Optional[str]) -> str:
-    engine = engine or os.environ.get(_ENGINE_ENV) or "compiled"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown simulator engine {engine!r}; pick from {ENGINES}")
-    return engine
-
-
 def simulation_cache_disabled() -> bool:
     """True when ``REPRO_SIM_CACHE`` disables digest-keyed caching
-    process-wide — honoured by this module's :class:`SimulationCache`
-    default and by the ensemble cache in ``repro.core.robust``."""
+    process-wide (every cache :func:`resolve_cache` defaults to)."""
     return os.environ.get(_CACHE_ENV, "").lower() in ("0", "off", "false")
 
 
-def _resolve_cache(
-    cache: Union[SimulationCache, bool, None]
-) -> Optional[SimulationCache]:
+def resolve_cache(
+    cache: Union[SimulationCache[V], bool, None],
+    default: SimulationCache[V],
+) -> Optional[SimulationCache[V]]:
+    """The cache a ``cache=`` argument names.
+
+    ``None`` means ``default`` unless ``REPRO_SIM_CACHE`` disables
+    caching, ``True`` means ``default``, ``False`` means no cache, and a
+    :class:`SimulationCache` instance means itself.
+    """
     if cache is None:
-        if simulation_cache_disabled():
-            return None
-        return _GLOBAL_CACHE
+        return None if simulation_cache_disabled() else default
+    if cache is True:
+        return default
     if cache is False:
         return None
-    return cache  # an explicit SimulationCache
+    return cache
 
 
 # -- public entry points ------------------------------------------------------
@@ -260,199 +255,85 @@ def _resolve_cache(
 def simulate(
     schedule: Schedule,
     *,
-    engine: Optional[str] = None,
-    cache: Union[SimulationCache, bool, None] = None,
+    cache: Union[SimulationCache[SimulationResult], bool, None] = None,
 ) -> SimulationResult:
     """Execute ``schedule`` and return timing and memory results.
 
     Args:
         schedule: the schedule to execute.
-        engine: ``"compiled"`` (default) or ``"reference"``; ``None`` reads
-            ``REPRO_SIM_ENGINE`` and falls back to the compiled engine.
         cache: ``None`` uses the global :class:`SimulationCache` (unless
-            ``REPRO_SIM_CACHE=0``), ``False`` disables caching, or pass a
-            cache instance to scope memoization explicitly.
+            ``REPRO_SIM_CACHE=0``), ``True`` always uses it, ``False``
+            disables caching, or pass a cache instance to scope
+            memoization explicitly.
 
     Raises:
         SimulationError: if the schedule deadlocks (a device's next task
             waits on a task that can never run) or references unknown tasks.
     """
-    return simulate_with_info(schedule, engine=engine, cache=cache)[0]
+    return simulate_with_info(schedule, cache=cache)[0]
 
 
 def simulate_with_info(
     schedule: Schedule,
     *,
-    engine: Optional[str] = None,
-    cache: Union[SimulationCache, bool, None] = None,
+    cache: Union[SimulationCache[SimulationResult], bool, None] = None,
 ) -> Tuple[SimulationResult, Dict[str, object]]:
     """:func:`simulate` plus an observability record.
 
-    The second element carries ``engine`` (the engine that produced the
-    result), ``cache_hit`` (whether this call replayed a memoized result),
-    and the consulted cache's cumulative ``cache_hits``/``cache_misses``
-    (zeros when caching is off) — the counters plan metadata surfaces.
+    The second element carries ``cache_hit`` (whether this call replayed a
+    memoized result) and the consulted cache's cumulative
+    ``cache_hits``/``cache_misses`` (zeros when caching is off) — the
+    counters plan metadata surfaces.
     """
-    engine = _resolve_engine(engine)
-    runner = _run_compiled if engine == "compiled" else simulate_reference
-    use_cache = _resolve_cache(cache)
+    use_cache = resolve_cache(cache, _GLOBAL_CACHE)
     if use_cache is None:
-        return runner(schedule), {
-            "engine": engine,
+        return _simulate_batched(schedule), {
             "cache_hit": False,
             "cache_hits": 0,
             "cache_misses": 0,
         }
-    key = (engine, schedule.digest())
+    key = schedule.digest()
     found = use_cache.get(key)
     if found is None:
-        found = runner(schedule)
+        found = _simulate_batched(schedule)
         use_cache.put(key, found)
         hit = False
     else:
         found = dataclasses.replace(found, schedule=schedule)
         hit = True
     return found, {
-        "engine": engine,
         "cache_hit": hit,
         "cache_hits": use_cache.hits,
         "cache_misses": use_cache.misses,
     }
 
 
-# -- compiled ready-queue engine ----------------------------------------------
+def _simulate_batched(schedule: Schedule) -> SimulationResult:
+    """One R = 1 run of the schedule's batched wavefront.
 
-
-def _run_compiled(schedule: Schedule) -> SimulationResult:
-    """O(tasks + edges) execution of the lowered schedule.
-
-    Start times satisfy ``start[i] = max(end[prev-on-device], max over deps
-    j of end[j] + hop)`` — a longest-path recurrence over a DAG, so any
-    topological processing order yields the same floats as the reference
-    polling loop (``max`` is exact; the only additions are the same
-    ``end + hop`` terms). Memory is tracked incrementally: each device's
-    events are generated in nondecreasing time order (allocs at forward
-    start, releases at same-device backward end), so buffering just the
-    current timestamp's deltas — applied frees-before-allocs like the
-    reference sort's tie-break — reproduces the sorted sweep exactly,
-    without the end-of-run sort.
+    Busy time and weighted passes are execution-independent, so the
+    lowering already holds them; everything else comes from the run's
+    per-task start and finish times.
     """
-    compiled = schedule.compiled()
-    if not compiled.same_device_twins:
-        # A backward releasing activations on a *different* device breaks
-        # the nondecreasing-event-time invariant; such schedules fail
-        # Schedule.validate and only the reference semantics define them.
-        return simulate_reference(schedule)
-
-    num_tasks = compiled.num_tasks
+    sim = batched_simulator(schedule)
+    compiled = sim.compiled
+    starts, finish, iteration = sim.timeline()
     num_devices = schedule.num_devices
-    rows = compiled.rows
-
-    # ``ready`` doubles as the start-time array: once a task pops off the
-    # stack all its predecessors are done, so its entry is final.
-    ready = [0.0] * num_tasks
-    ends = [0.0] * num_tasks
-    indegree = list(compiled.indegree)
-
-    # Incremental per-device memory tracking: level/peak plus the deltas of
-    # the timestamp currently being grouped (frees apply before allocs at
-    # equal times, preserved by sorting each tiny group by delta).
-    level = [0.0] * num_devices
-    peak = [0.0] * num_devices
-    pending_time: List[Optional[float]] = [None] * num_devices
-    pending: List[List[float]] = [[] for _ in range(num_devices)]
-
-    stack = [i for i in range(num_tasks) if not indegree[i]]
-    executed = 0
-    while stack:
-        i = stack.pop()
-        executed += 1
-        dur, d, delta, succs = rows[i]
-        end = ready[i] + dur
-        ends[i] = end
-        if delta:
-            when = ready[i] if delta > 0.0 else end
-            if when == pending_time[d]:
-                pending[d].append(delta)
-            else:
-                group = pending[d]
-                if group:
-                    if len(group) > 1:
-                        group.sort()
-                    running = level[d]
-                    high = peak[d]
-                    for step in group:
-                        running += step
-                        if running > high:
-                            high = running
-                    level[d] = running
-                    peak[d] = high
-                pending_time[d] = when
-                pending[d] = [delta]
-        for j, add in succs:
-            candidate = end + add
-            if candidate > ready[j]:
-                ready[j] = candidate
-            left = indegree[j] - 1
-            indegree[j] = left
-            if not left:
-                stack.append(j)
-
-    if executed < num_tasks:
-        finished = {
-            compiled.keys[i] for i in range(num_tasks) if not indegree[i]
-        }
-        raise SimulationError(_deadlock_message(schedule, finished))
-
-    for d in range(num_devices):
-        group = pending[d]
-        if group:
-            if len(group) > 1:
-                group.sort()
-            running = level[d]
-            high = peak[d]
-            for step in group:
-                running += step
-                if running > high:
-                    high = running
-            level[d] = running
-            peak[d] = high
-
     statics = schedule.device_static_bytes or [0.0] * num_devices
     buffers = schedule.device_buffer_bytes or [0.0] * num_devices
-    peaks = [statics[d] + buffers[d] + peak[d] for d in range(num_devices)]
-    iteration = 0.0
-    for d, last in enumerate(compiled.device_last):
-        if last >= 0 and ends[last] > iteration:
-            iteration = ends[last]
-
+    activations = sim.activation_peaks(starts, finish)
     keys = compiled.keys
     return SimulationResult(
         iteration_time=iteration,
-        start_times=dict(zip(keys, ready)),
-        end_times=dict(zip(keys, ends)),
+        start_times=dict(zip(keys, starts.tolist())),
+        end_times=dict(zip(keys, finish.tolist())),
         device_busy_time=list(compiled.device_busy),
-        device_peak_bytes=peaks,
+        device_peak_bytes=[
+            statics[d] + buffers[d] + activations[d] for d in range(num_devices)
+        ],
         device_micro_batch_passes=list(compiled.device_passes),
         schedule=schedule,
     )
-
-
-def _deadlock_message(schedule: Schedule, finished: Iterable[TaskKey]) -> str:
-    """Per device, name the next waiting task *and* its unmet dependencies,
-    so malformed schedules point straight at the broken edge."""
-    finished = set(finished)
-    stuck: List[str] = []
-    for d in range(schedule.num_devices):
-        for task in schedule.device_tasks[d]:
-            if task.key in finished:
-                continue
-            unmet = ", ".join(
-                str(dep) for dep in task.deps if dep not in finished
-            )
-            stuck.append(f"{task.key} (device {d}) waiting on [{unmet}]")
-            break
-    return f"schedule deadlock; waiting tasks: [{'; '.join(stuck)}]"
 
 
 # -- reference engine (equivalence oracle) ------------------------------------
@@ -463,7 +344,7 @@ def simulate_reference(schedule: Schedule) -> SimulationResult:
 
     O(devices x passes) with per-dependency ``TaskKey`` dict lookups and an
     end-of-run memory-event sort — slow, but defined directly from the
-    scheduling semantics. The compiled engine must match it bit-for-bit.
+    scheduling semantics. :func:`simulate` must match it bit-for-bit.
     """
     task_map = schedule.task_map()
     for task in task_map.values():
@@ -484,7 +365,6 @@ def simulate_reference(schedule: Schedule) -> SimulationResult:
     memory_events: List[List[Tuple[float, float]]] = [
         [] for _ in range(schedule.num_devices)
     ]
-    forward_device: Dict[TaskKey, int] = {}
 
     while remaining > 0:
         progressed = False
@@ -518,14 +398,12 @@ def simulate_reference(schedule: Schedule) -> SimulationResult:
                 device_time[device] = end
                 device_busy[device] += task.duration
                 device_passes[device] += task.weight
-                _record_memory(
-                    task, ready_at, end, device, memory_events, forward_device, task_map
-                )
+                _record_memory(task, ready_at, device, memory_events, task_map)
                 pointers[device] += 1
                 remaining -= 1
                 progressed = True
         if not progressed:
-            raise SimulationError(_deadlock_message(schedule, end_times))
+            raise SimulationError(deadlock_message(schedule, end_times))
 
     peaks = _memory_peaks(schedule, memory_events)
     return SimulationResult(
@@ -542,22 +420,20 @@ def simulate_reference(schedule: Schedule) -> SimulationResult:
 def _record_memory(
     task: Task,
     start: float,
-    end: float,
     device: int,
     memory_events: List[List[Tuple[float, float]]],
-    forward_device: Dict[TaskKey, int],
     task_map: Dict[TaskKey, Task],
 ) -> None:
     """Pin activations at forward start, release them at the end of the
     forward's releasing twin (grad-weight under a split backward, the
     plain backward otherwise). Grad-input and recompute tasks touch no
-    activation accounting."""
-    del end  # backward release uses its own end below
+    activation accounting. The activations live on the forward's device,
+    so the release is charged there, wherever the releasing task runs and
+    whichever of the two runs first."""
     kind = task.key.kind
     if kind == TaskKind.FORWARD:
         if task.activation_bytes > 0:
             memory_events[device].append((start, task.activation_bytes))
-        forward_device[task.key] = device
         return
     if kind not in RELEASE_KINDS:
         return
@@ -577,7 +453,7 @@ def _record_memory(
     twin_task = task_map.get(twin)
     if twin_task is not None and twin_task.activation_bytes > 0:
         release_at = start + task.duration
-        memory_events[forward_device.get(twin, device)].append(
+        memory_events[twin_task.device].append(
             (release_at, -twin_task.activation_bytes)
         )
 

@@ -195,7 +195,7 @@ class Schedule:
     def compiled(self):
         """The schedule's integer-indexed lowering, computed once.
 
-        Both :meth:`validate` and the compiled simulator engine run off this
+        Both :meth:`validate` and the simulator's fast path run off this
         :class:`~repro.pipeline.compiled.CompiledSchedule`, so validated
         schedules reach the simulator without rebuilding the task map. The
         lowering (and :meth:`digest`) assume ``device_tasks`` is not mutated

@@ -171,56 +171,22 @@ def _releases(kind: str, key: Tuple[int, int, int], split: set) -> bool:
     return kind == str(TaskKind.BACKWARD) and key not in split
 
 
-def stage_in_flight_peaks(result: SimulationResult) -> Dict[Tuple[int, int], int]:
-    """Per (pipe, stage): the peak number of micro-batches whose
-    activations are simultaneously live (forward started, releasing
-    backward twin — grad-weight under a split backward — not yet
-    finished). For plain 1F1B this reproduces the analytic ``p - s``; for
-    interleaved or bidirectional schedules it measures what no closed form
-    gives — the multiplier adaptive recomputation needs per stage."""
-    intervals: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
-    forward_start: Dict[Tuple[int, int, int], float] = {}
-    records = trace_simulation(result)
-    split = {
-        (r.pipe, r.stage, r.micro_batch)
-        for r in records
-        if r.kind == str(TaskKind.BACKWARD_WEIGHT)
-    }
-    for record in records:
-        key = (record.pipe, record.stage, record.micro_batch)
-        if record.kind == str(TaskKind.FORWARD):
-            forward_start[key] = record.start
-        elif _releases(record.kind, key, split):
-            start = forward_start.get(key, record.start)
-            intervals.setdefault((record.pipe, record.stage), []).append(
-                (start, record.end)
-            )
-    peaks: Dict[Tuple[int, int], int] = {}
-    for stage_key, spans in intervals.items():
-        events = []
-        for start, end in spans:
-            events.append((start, 1))
-            events.append((end, -1))
-        events.sort(key=lambda item: (item[0], item[1]))
-        level = peak = 0
-        for _, delta in events:
-            level += delta
-            peak = max(peak, level)
-        peaks[stage_key] = peak
-    return peaks
-
-
 def stage_in_flight_micro_batch_peaks(
     result: SimulationResult,
 ) -> Dict[Tuple[int, int], int]:
-    """Like :func:`stage_in_flight_peaks`, but in micro-batch units.
+    """Per (pipe, stage): the peak number of micro-batches whose
+    activations are simultaneously live (forward started, releasing
+    backward twin — grad-weight under a split backward — not yet
+    finished).
 
     Each live activation interval is weighted by its task's ``weight`` —
     the number of micro-batches the task processes (2 for ChimeraD's
     doubled forwards, 1 elsewhere) — so the peaks are directly comparable
     with the memory model's in-flight counts and with
-    ``saved_per_microbatch`` multipliers. For unit-weight schedules this
-    coincides with :func:`stage_in_flight_peaks` exactly.
+    ``saved_per_microbatch`` multipliers. For plain 1F1B this reproduces
+    the analytic ``min(n, p - s)``; for interleaved or bidirectional
+    schedules it measures what no closed form gives — the multiplier
+    adaptive recomputation needs per stage.
     """
     forward_start: Dict[Tuple[int, int, int], float] = {}
     weight_of: Dict[Tuple[int, int, int], int] = {}

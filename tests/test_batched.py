@@ -1,11 +1,10 @@
 """Batched vectorized simulation: bit-equivalence, caching, batching.
 
 The batched executor's contract is *exactness*, not approximation: every
-row of a batched ensemble must equal a scalar ``simulate`` of the
-equivalent perturbed schedule bit for bit (the scalar engines being
-bit-identical to each other already). These tests pin that contract —
-including a differential fuzz over drawn PerturbationSpecs and all five
-schedule kinds — plus the ensemble-cache digest isolation and the
+row of a batched ensemble must equal a ``simulate_reference`` run of the
+equivalent perturbed schedule bit for bit. These tests pin that contract —
+including a differential fuzz over drawn PerturbationSpecs and every
+schedule kind — plus the ensemble-cache digest isolation and the
 shape-grouped batching of ``evaluate_robustness_many``.
 """
 
@@ -17,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.robust import (
-    EnsembleCache,
     ensemble_digest,
     evaluate_robustness,
     evaluate_robustness_many,
@@ -42,7 +40,11 @@ from repro.pipeline.schedules import (
     one_f_one_b_overlapped,
     one_f_one_b_schedule,
 )
-from repro.pipeline.simulator import simulate
+from repro.pipeline.simulator import (
+    SimulationCache,
+    global_simulation_cache,
+    simulate_reference,
+)
 from repro.pipeline.tasks import Schedule, StageCosts, Task, TaskKey, TaskKind
 
 _KINDS = (
@@ -183,7 +185,7 @@ class TestExecutorExactness:
     @pytest.mark.parametrize("kind", _KINDS)
     def test_nominal_row_matches_scalar_engine(self, kind):
         schedule = _fuzz_schedule(kind)
-        scalar = simulate(schedule, engine="compiled", cache=False)
+        scalar = simulate_reference(schedule)
         sim = batched_simulator(schedule)
         assert isinstance(sim, BatchedSchedule)
         assert batched_simulator(schedule) is sim  # memoized on the schedule
@@ -191,8 +193,12 @@ class TestExecutorExactness:
         assert times.shape == (1,)
         assert float(times[0]) == scalar.iteration_time
         finish = sim.finish_matrix(sim.raw_durations)[0]
+        starts, timeline_finish, iteration = sim.timeline()
+        assert timeline_finish.tolist() == finish.tolist()
+        assert iteration == scalar.iteration_time
         for i, key in enumerate(schedule.compiled().keys):
             assert finish[i] == scalar.end_times[key]
+            assert starts[i] == scalar.start_times[key]
 
     @pytest.mark.parametrize("kind", _KINDS)
     @given(spec=_SPEC_STRATEGY)
@@ -203,7 +209,8 @@ class TestExecutorExactness:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_fuzz_rows_bit_identical_to_scalar_perturbed_runs(self, kind, spec):
-        """Differential fuzz: batched row k == simulate(perturb(reseeded(k)))."""
+        """Differential fuzz: batched row k ==
+        simulate_reference(perturb(reseeded(k)))."""
         schedule = _fuzz_schedule(kind)
         compiled = schedule.compiled()
         sim = batched_simulator(schedule)
@@ -218,7 +225,7 @@ class TestExecutorExactness:
         batched_times = sim.iteration_times(rows, link_hops=hops)
         for k in range(draws):
             perturbed = perturb_schedule(schedule, spec.reseeded(k))
-            scalar = simulate(perturbed, engine="compiled", cache=False)
+            scalar = simulate_reference(perturbed)
             assert float(batched_times[k]) == scalar.iteration_time
             # The lowered duration vector is the perturbed schedule's
             # durations, bitwise.
@@ -238,13 +245,10 @@ class TestExecutorExactness:
         batched = evaluate_robustness(
             schedule, spec, draws=2, engine="batched", cache=False
         )
-        compiled = evaluate_robustness(
-            schedule, spec, draws=2, engine="compiled", cache=False
-        )
         reference = evaluate_robustness(
             schedule, spec, draws=2, engine="reference", cache=False
         )
-        assert batched == compiled == reference
+        assert batched == reference
 
     def test_duration_matrix_shape_is_validated(self):
         sim = batched_simulator(_fuzz_schedule("1f1b"))
@@ -343,7 +347,7 @@ class TestEnsembleDigest:
     def test_digest_isolation_in_cache(self):
         schedule = self._schedule()
         spec = PerturbationSpec.build(jitter_sigma=0.2, seed=0)
-        cache = EnsembleCache()
+        cache = SimulationCache()
         a = evaluate_robustness(schedule, spec, draws=4, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
         assert evaluate_robustness(schedule, spec, draws=4, cache=cache) is a
@@ -354,7 +358,7 @@ class TestEnsembleDigest:
         assert len(cache) == 2
 
     def test_fifo_eviction_and_clear(self):
-        cache = EnsembleCache(max_entries=2)
+        cache = SimulationCache(max_entries=2)
         schedule = self._schedule()
         for draws in (1, 2, 3):
             evaluate_robustness(
@@ -369,6 +373,22 @@ class TestEnsembleDigest:
         assert cache.misses == 4 and cache.hits == 0
         cache.clear()
         assert len(cache) == 0 and cache.lookups == 0
+
+    def test_one_cache_class_serves_both_global_caches(self):
+        ensembles = global_ensemble_cache()
+        simulations = global_simulation_cache()
+        assert type(ensembles) is type(simulations) is SimulationCache
+        assert ensembles is not simulations
+
+    def test_cache_true_uses_global_cache(self):
+        schedule = self._schedule()
+        spec = PerturbationSpec.build(jitter_sigma=0.3, seed=5)
+        cache = global_ensemble_cache()
+        cache.clear()
+        first = evaluate_robustness(schedule, spec, draws=2, cache=True)
+        assert evaluate_robustness(schedule, spec, draws=2, cache=True) is first
+        assert (cache.hits, cache.misses) == (1, 1)
+        cache.clear()
 
     def test_global_cache_honours_disable_env(self, monkeypatch):
         schedule = self._schedule()
@@ -429,7 +449,7 @@ class TestEvaluateRobustnessMany:
         assert len(many) == len(schedules)
         for schedule, report in zip(schedules, many):
             assert report == evaluate_robustness(
-                schedule, spec, draws=4, engine="compiled", cache=False
+                schedule, spec, draws=4, engine="reference", cache=False
             )
 
     def test_shape_groups_share_one_lowering(self, monkeypatch):
@@ -462,23 +482,24 @@ class TestEvaluateRobustnessMany:
             _builders(random.Random(seed), _DEVICES, 8)["gpipe"]
             for seed in (20, 21)
         ]
-        cache = EnsembleCache()
+        cache = SimulationCache()
         first = evaluate_robustness_many(schedules, spec, draws=3, cache=cache)
         assert cache.misses == 2 and cache.hits == 0
         second = evaluate_robustness_many(schedules, spec, draws=3, cache=cache)
         assert second == first
         assert cache.hits == 2
-        # A scalar-engine pass over the same inputs agrees exactly.
+        # A reference-engine pass over the same inputs agrees exactly.
         scalar = evaluate_robustness_many(
             schedules, spec, draws=3, engine="reference", cache=False
         )
         assert scalar == first
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="robustness engine"):
-            evaluate_robustness(
-                _fuzz_schedule("1f1b"), PerturbationSpec(), engine="magic"
-            )
+        for engine in ("magic", "compiled"):
+            with pytest.raises(ValueError, match="robustness engine"):
+                evaluate_robustness(
+                    _fuzz_schedule("1f1b"), PerturbationSpec(), engine=engine
+                )
 
 
 # -- Heterogeneous device pools ---------------------------------------------
@@ -500,7 +521,7 @@ _POOL_STRATEGY = st.lists(
 
 class TestHeterogeneousPoolFuzz:
     """Batched rows under drawn heterogeneous fleets must stay bit-equal
-    to the scalar engines: per-rank slowdowns lower via
+    to the reference engine: per-rank slowdowns lower via
     ``cluster_perturbation`` exactly like hand-built PerturbationSpecs."""
 
     @pytest.mark.parametrize("kind", _KINDS)
@@ -521,10 +542,7 @@ class TestHeterogeneousPoolFuzz:
         batched = evaluate_robustness(
             schedule, spec, draws=2, engine="batched", cache=False
         )
-        compiled = evaluate_robustness(
-            schedule, spec, draws=2, engine="compiled", cache=False
-        )
         reference = evaluate_robustness(
             schedule, spec, draws=2, engine="reference", cache=False
         )
-        assert batched == compiled == reference
+        assert batched == reference

@@ -14,7 +14,7 @@ from repro.hardware.cluster import cluster_a
 from repro.pipeline.schedules import one_f_one_b_schedule
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts
-from repro.pipeline.tracing import stage_in_flight_peaks
+from repro.pipeline.tracing import stage_in_flight_micro_batch_peaks
 
 
 @pytest.fixture
@@ -34,14 +34,14 @@ class TestInFlightMeasurement:
         costs = [StageCosts(forward=1.0, backward=2.0, activation_bytes=1.0)
                  for _ in range(4)]
         result = simulate(one_f_one_b_schedule(costs, 8))
-        peaks = stage_in_flight_peaks(result)
+        peaks = stage_in_flight_micro_batch_peaks(result)
         assert {k[1]: v for k, v in peaks.items()} == {0: 4, 1: 3, 2: 2, 3: 1}
 
     def test_peaks_capped_by_micro_batches(self):
         costs = [StageCosts(forward=1.0, backward=2.0, activation_bytes=1.0)
                  for _ in range(4)]
         result = simulate(one_f_one_b_schedule(costs, 2))
-        assert max(stage_in_flight_peaks(result).values()) <= 2
+        assert max(stage_in_flight_micro_batch_peaks(result).values()) <= 2
 
 
 class TestAdaptiveInterleaved:

@@ -40,10 +40,7 @@ from repro.pipeline.schedules import (
 )
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts
-from repro.pipeline.tracing import (
-    stage_in_flight_micro_batch_peaks,
-    stage_in_flight_peaks,
-)
+from repro.pipeline.tracing import stage_in_flight_micro_batch_peaks
 from repro.profiler.memory import MemoryModel, in_flight_micro_batches
 
 
@@ -126,7 +123,7 @@ class TestInterleavedExactness:
     def test_analytic_matches_simulated(self, p, v, n):
         costs = _costs(p * v)
         result = simulate(interleaved_1f1b_schedule(costs, n, p, hop_time=0.01))
-        measured = stage_in_flight_peaks(result)
+        measured = stage_in_flight_micro_batch_peaks(result)
         for stage in range(p * v):
             assert (
                 in_flight_micro_batches("interleaved", stage, p * v, n, num_devices=p)
@@ -148,11 +145,12 @@ class TestInterleavedExactness:
 
 
 class TestMeasuredPeakOracles:
-    """`stage_in_flight_peaks` against the analytic formulas (satellite)."""
+    """`stage_in_flight_micro_batch_peaks` against the analytic formulas
+    (satellite)."""
 
     def test_1f1b_n_at_least_p(self):
         p, n = 4, 9
-        peaks = stage_in_flight_peaks(
+        peaks = stage_in_flight_micro_batch_peaks(
             simulate(one_f_one_b_schedule(_costs(p), n))
         )
         assert {s: peaks[(0, s)] for s in range(p)} == {
@@ -161,7 +159,7 @@ class TestMeasuredPeakOracles:
 
     def test_1f1b_n_below_p(self):
         p, n = 6, 3
-        peaks = stage_in_flight_peaks(
+        peaks = stage_in_flight_micro_batch_peaks(
             simulate(one_f_one_b_schedule(_costs(p), n))
         )
         assert {s: peaks[(0, s)] for s in range(p)} == {
@@ -170,22 +168,32 @@ class TestMeasuredPeakOracles:
 
     def test_gpipe_holds_all(self):
         p, n = 4, 7
-        peaks = stage_in_flight_peaks(simulate(gpipe_schedule(_costs(p), n)))
+        peaks = stage_in_flight_micro_batch_peaks(
+            simulate(gpipe_schedule(_costs(p), n))
+        )
         assert all(peaks[(0, s)] == n for s in range(p))
 
     def test_weighted_peaks_match_unweighted_for_unit_weights(self):
-        result = simulate(one_f_one_b_schedule(_costs(5), 7))
-        assert stage_in_flight_micro_batch_peaks(result) == stage_in_flight_peaks(
-            result
-        )
+        # Unit weights: the weighted peak is the plain count of live
+        # micro-batches, min(n, p - s) under 1F1B.
+        p, n = 5, 7
+        result = simulate(one_f_one_b_schedule(_costs(p), n))
+        assert stage_in_flight_micro_batch_peaks(result) == {
+            (0, s): min(n, p - s) for s in range(p)
+        }
 
     def test_chimerad_weighted_peaks_double_entities(self):
+        # ChimeraD's doubled forwards weigh 2: twice the live-entity peaks
+        # (2, 2, 2, 1 per pipe from stage 0).
         result = simulate(
             chimera_schedule(_costs(4), 8, forward_doubling=True)
         )
-        entity = stage_in_flight_peaks(result)
         weighted = stage_in_flight_micro_batch_peaks(result)
-        assert weighted == {key: 2 * count for key, count in entity.items()}
+        assert weighted == {
+            (pipe, stage): 2 * count
+            for pipe in (0, 1)
+            for stage, count in enumerate((2, 2, 2, 1))
+        }
 
 
 class TestAuditConservativeness:

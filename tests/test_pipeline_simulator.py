@@ -1,7 +1,7 @@
 """Tests for repro.pipeline.simulator — timing and memory correctness.
 
-Every test runs against both engines (the compiled ready-queue engine and
-the reference polling oracle) with caching disabled, so the semantic
+Every test runs against both engines (``simulate``, the fast path, and the
+reference polling oracle) with caching disabled, so the semantic
 assertions pin both implementations independently. ``_simulate``
 additionally cross-checks the two engines bit-for-bit on every schedule a
 test touches, so each closed-form expectation below is simultaneously a
@@ -12,11 +12,19 @@ other vouching for it.
 import pytest
 
 from repro.pipeline.schedules import gpipe_schedule, one_f_one_b_schedule
-from repro.pipeline.simulator import SimulationError, simulate
+from repro.pipeline.simulator import SimulationError, simulate, simulate_reference
 from repro.pipeline.tasks import Schedule, StageCosts, Task, TaskKey, TaskKind
 
+#: The engines under test, by their parametrized ids: ``compiled`` is
+#: ``simulate`` (the batched wavefront over the compiled lowering) and
+#: ``reference`` is the polling oracle.
+_ENGINES = {
+    "compiled": lambda schedule: simulate(schedule, cache=False),
+    "reference": simulate_reference,
+}
 
-@pytest.fixture(params=["compiled", "reference"])
+
+@pytest.fixture(params=list(_ENGINES))
 def engine(request):
     return request.param
 
@@ -30,18 +38,15 @@ def _costs(p, f=1.0, b=2.0, act=1.0, static=0.0, buffer=0.0):
 
 
 def _simulate(schedule, engine):
-    results = {
-        name: simulate(schedule, engine=name, cache=False)
-        for name in ("compiled", "reference")
-    }
-    compiled, reference = results["compiled"], results["reference"]
-    assert compiled.iteration_time == reference.iteration_time
-    assert compiled.start_times == reference.start_times
-    assert compiled.end_times == reference.end_times
-    assert compiled.device_busy_time == reference.device_busy_time
-    assert compiled.device_peak_bytes == reference.device_peak_bytes
+    results = {name: run(schedule) for name, run in _ENGINES.items()}
+    fast, reference = results["compiled"], results["reference"]
+    assert fast.iteration_time == reference.iteration_time
+    assert fast.start_times == reference.start_times
+    assert fast.end_times == reference.end_times
+    assert fast.device_busy_time == reference.device_busy_time
+    assert fast.device_peak_bytes == reference.device_peak_bytes
     assert (
-        compiled.device_micro_batch_passes
+        fast.device_micro_batch_passes
         == reference.device_micro_batch_passes
     )
     return results[engine]
