@@ -162,11 +162,11 @@ DEFAULT_CONTRACTS: Tuple[DigestContract, ...] = (
     ),
     DigestContract(
         digest_path="core/orchestrator.py",
-        digest_name="stage_eval_to_dict",
-        # The value half of a persisted/checkpointed cache-shard entry:
+        digest_name="_encode_row",
+        # The row encoder of persisted and checkpointed cache entries:
         # warm starts and resumed sweeps replay these evaluations, so a
         # StageEval (or StageMemory) field this function fails to read
-        # would be silently zeroed on every restore.
+        # would be silently lost on every restore.
         sources=(
             ("core/isomorphism.py", "StageEval"),
             ("profiler/memory.py", "StageMemory"),

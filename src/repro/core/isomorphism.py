@@ -234,6 +234,21 @@ def evaluator_fingerprint(profiler: Profiler, capacity_bytes: float) -> Tuple:
     )
 
 
+#: The per-range half of a shared-cache key, in the order
+#: :meth:`StageEvaluator._key` builds it; the :func:`evaluator_fingerprint`
+#: fields precede it. Persisted cache rows store these fields as columns
+#: (:mod:`repro.core.orchestrator`).
+RANGE_KEY_FIELDS: Tuple[str, ...] = (
+    "in_flight",
+    "first",
+    "last",
+    "attention",
+    "ffn",
+    "rank_scale",
+    "rank_capacity",
+)
+
+
 class StageEvaluator:
     """Evaluates candidate stages, caching by isomorphism class.
 
@@ -323,7 +338,8 @@ class StageEvaluator:
         return self.capacity_bytes
 
     def _key(self, stage: int, i: int, j: int) -> Tuple:
-        # The stage index (and the memory model's schedule kind) only
+        # Builds the RANGE_KEY_FIELDS, in that order. The stage index
+        # (and the memory model's schedule kind) only
         # matters through the in-flight micro-batch count, so keying on
         # that count makes classes line up across pipeline sizes — and
         # across schedule kinds that happen to agree on a stage's count.

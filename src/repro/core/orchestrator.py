@@ -43,8 +43,10 @@ whatever was planned, independent of completion order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing
+import operator
 import os
 import time
 import traceback
@@ -57,15 +59,22 @@ from typing import (
     Deque,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
 from repro.config import ParallelConfig, TrainingConfig
-from repro.core.isomorphism import CacheEntry, StageEval, StageEvalCache
+from repro.core.isomorphism import (
+    RANGE_KEY_FIELDS,
+    CacheEntry,
+    StageEval,
+    StageEvalCache,
+)
 from repro.core.plan import PipelinePlan
 from repro.core.search import PlannerContext
 from repro.core.serialize import plan_from_dict, plan_to_dict
@@ -80,8 +89,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, no cycle
 #: pickled to workers) or the name of a method in the baselines registry.
 PlannerRef = Union[str, Callable[[PlannerContext], PipelinePlan]]
 
-CHECKPOINT_FORMAT_VERSION = 1
-CACHE_FILE_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+CACHE_FILE_FORMAT_VERSION = 2
 
 #: How long the coordinator waits on the result queue before checking
 #: worker liveness (a worker killed by the OOM killer would otherwise
@@ -94,7 +103,7 @@ class SweepWorkerError(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """Raised on malformed, incompatible, or mismatched checkpoint files."""
+    """Raised on malformed, incompatible, or mismatched checkpoint or cache files."""
 
 
 def resolve_planner(planner: PlannerRef) -> Callable[[PlannerContext], PipelinePlan]:
@@ -123,90 +132,317 @@ def per_sample_time(plan: PipelinePlan) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def stage_eval_to_dict(value: StageEval) -> Dict:
-    """Serialise one cached :class:`StageEval` to JSON-compatible data.
+class _EvalColumns(NamedTuple):
+    """The value columns of a persisted cache row, in file order.
 
-    This is the value half of a persisted cache-shard entry; the adalint
-    ``digest-coverage`` contract binds it to every ``StageEval`` and
-    ``StageMemory`` field, so a new cache-value field cannot silently go
-    un-serialized (it would resurrect stale evaluations on warm starts).
+    A row is ``[fingerprint index, *range key, *_EvalColumns]``: an index
+    into the document's ``fingerprints`` table, the
+    :data:`~repro.core.isomorphism.RANGE_KEY_FIELDS` of the entry's key,
+    then the ``StageEval`` and ``StageMemory`` numbers. The encoder fills
+    this tuple by field name and the decoder reads it by field name, so
+    the column order is declared here only.
+    """
+
+    feasible: bool
+    forward: float
+    backward: float
+    saved_bytes_per_microbatch: float
+    static_bytes: float
+    buffer_bytes: float
+    saved_per_microbatch: float
+    in_flight_microbatches: int
+    saved_unit_counts: List[Tuple[str, int]]  # sorted by unit name
+
+
+#: Every column of a row, in file order.
+_ROW_COLUMNS: Tuple[str, ...] = (
+    "fingerprint",
+    *RANGE_KEY_FIELDS,
+    *_EvalColumns._fields,
+)
+_VALUES_AT = 1 + len(RANGE_KEY_FIELDS)
+_INF = float("inf")
+
+
+# Each check below takes a whole column and passes only if every value in
+# it does; the decoder finds the bad value of a failed column by checking
+# each value as a column of one. Whole-column builtins (type sets, min,
+# max) keep the per-value cost in C. Types are matched exactly: a bool is
+# an int subclass, but neither a count nor a number here.
+
+
+def _flags(column: Sequence) -> bool:
+    return set(map(type, column)) <= {bool}
+
+
+def _counts(column: Sequence) -> bool:
+    return set(map(type, column)) <= {int} and min(column, default=0) >= 0
+
+
+def _numbers_or_inf(column: Sequence) -> bool:
+    # NaN is the one value unequal to itself; it would also defeat min().
+    return (
+        set(map(type, column)) <= {int, float}
+        and not any(map(operator.ne, column, column))
+        and min(column, default=0) >= 0
+    )
+
+
+def _numbers(column: Sequence) -> bool:
+    return _numbers_or_inf(column) and max(column, default=0) < _INF
+
+
+def _unit_counts(column: Sequence) -> bool:
+    if not set(map(type, column)) <= {list}:
+        return False
+    pairs = list(itertools.chain.from_iterable(column))
+    # A pair is a JSON array, or the encoder's tuple before any JSON trip.
+    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+        return False
+    names, counts = zip(*pairs) if pairs else ((), ())
+    return set(map(type, names)) <= {str} and _counts(counts)
+
+
+_FLAG = (_flags, "a bool")
+_COUNT = (_counts, "a non-negative int")
+_NUMBER = (_numbers, "a finite non-negative number")
+
+#: The check each column must pass on load, by column name, with what it
+#: wants. The fingerprint index is checked against the table's size.
+_COLUMN_CHECKS: Dict[str, Tuple[Callable[[Sequence], bool], str]] = {
+    "in_flight": _COUNT,
+    "first": _FLAG,
+    "last": _FLAG,
+    "attention": _COUNT,
+    "ffn": _COUNT,
+    "rank_scale": _NUMBER,
+    "rank_capacity": _NUMBER,
+    "feasible": _FLAG,
+    "forward": _NUMBER,
+    # inf is an infeasible stage's backward time, and only that;
+    # _decode_rows rejects it in a feasible row.
+    "backward": (_numbers_or_inf, "a non-negative number or inf"),
+    "saved_bytes_per_microbatch": _NUMBER,
+    "static_bytes": _NUMBER,
+    "buffer_bytes": _NUMBER,
+    "saved_per_microbatch": _NUMBER,
+    "in_flight_microbatches": _COUNT,
+    "saved_unit_counts": (_unit_counts, "a list of [unit, count] pairs"),
+}
+_ROW_CHECKS = tuple(
+    (position, name, _COLUMN_CHECKS[name])
+    for position, name in enumerate(_ROW_COLUMNS)
+    if name != "fingerprint"
+)
+
+
+def _encode_row(fingerprint: int, range_key: Tuple, value: StageEval) -> List:
+    """One cache entry -> one flat row (see :class:`_EvalColumns`).
+
+    The adalint ``digest-coverage`` contract binds this function to every
+    ``StageEval`` and ``StageMemory`` field, so a new cache-value field
+    cannot silently go unsaved (warm starts and resumed sweeps would
+    replay evaluations without it).
     """
     memory: StageMemory = value.memory
-    return {
-        "feasible": value.feasible,
-        "forward": value.forward,
-        "backward": value.backward,
-        "saved_unit_counts": dict(value.saved_unit_counts),
-        "saved_bytes_per_microbatch": value.saved_bytes_per_microbatch,
-        "memory": {
-            "static_bytes": memory.static_bytes,
-            "buffer_bytes": memory.buffer_bytes,
-            "saved_per_microbatch": memory.saved_per_microbatch,
-            "in_flight_microbatches": memory.in_flight_microbatches,
-        },
-    }
+    return [
+        fingerprint,
+        *range_key,
+        *_EvalColumns(
+            feasible=value.feasible,
+            forward=value.forward,
+            backward=value.backward,
+            saved_bytes_per_microbatch=value.saved_bytes_per_microbatch,
+            static_bytes=memory.static_bytes,
+            buffer_bytes=memory.buffer_bytes,
+            saved_per_microbatch=memory.saved_per_microbatch,
+            in_flight_microbatches=memory.in_flight_microbatches,
+            saved_unit_counts=sorted(value.saved_unit_counts.items()),
+        ),
+    ]
 
 
-def stage_eval_from_dict(data: Dict) -> StageEval:
-    """Reconstruct a :class:`StageEval` from :func:`stage_eval_to_dict`."""
-    try:
-        return StageEval(
-            feasible=data["feasible"],
-            forward=data["forward"],
-            backward=data["backward"],
-            saved_unit_counts=dict(data["saved_unit_counts"]),
-            saved_bytes_per_microbatch=data["saved_bytes_per_microbatch"],
-            memory=StageMemory(**data["memory"]),
+def _check_column(
+    column: Sequence, name: str, check: Callable[[Sequence], bool], want: str
+) -> None:
+    """Raise :class:`CheckpointError` naming the first row ``check`` rejects."""
+    if not check(column):
+        index = next(i for i, value in enumerate(column) if not check((value,)))
+        raise CheckpointError(
+            f"cache row {index}: {name} must be {want}, got {column[index]!r}"
         )
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed stage evaluation entry: {exc}") from exc
 
 
-def _encode_entries(entries: Sequence[CacheEntry]) -> List[List]:
-    """Cache entries -> JSON rows. Keys are flat primitive tuples."""
-    return [[list(key), stage_eval_to_dict(value)] for key, value in entries]
+def _decode_rows(rows: List, fingerprints: Sequence[Tuple]) -> List[CacheEntry]:
+    """Check every row, then rebuild the cache entries.
+
+    Works column by column over ``zip(*rows)``; a rejected value raises
+    :class:`CheckpointError` naming its row and column.
+    """
+    for index, row in enumerate(rows):
+        if type(row) is not list or len(row) != len(_ROW_COLUMNS):
+            got = len(row) if type(row) is list else type(row).__name__
+            raise CheckpointError(
+                f"cache row {index}: want a list of {len(_ROW_COLUMNS)} "
+                f"columns, got {got}"
+            )
+    if not rows:
+        return []
+    columns = list(zip(*rows))
+    _check_column(
+        columns[0],
+        "fingerprint",
+        lambda column: _counts(column) and max(column) < len(fingerprints),
+        f"an index below {len(fingerprints)}",
+    )
+    for position, name, (check, want) in _ROW_CHECKS:
+        _check_column(columns[position], name, check, want)
+    values = _EvalColumns._make(columns[_VALUES_AT:])
+    _check_column(
+        [b if f else 0.0 for f, b in zip(values.feasible, values.backward)],
+        "backward",
+        _numbers,
+        "finite in a feasible row",
+    )
+    keys = [
+        fingerprints[index] + range_key
+        for index, range_key in zip(columns[0], zip(*columns[1:_VALUES_AT]))
+    ]
+    evals = [
+        StageEval(
+            feasible=feasible,
+            forward=forward,
+            backward=backward,
+            saved_unit_counts=dict(units),
+            saved_bytes_per_microbatch=saved_bytes,
+            memory=StageMemory(
+                static_bytes=static_bytes,
+                buffer_bytes=buffer_bytes,
+                saved_per_microbatch=saved_per,
+                in_flight_microbatches=in_flight,
+            ),
+        )
+        for (
+            feasible, forward, backward, saved_bytes, static_bytes,
+            buffer_bytes, saved_per, in_flight, units,
+        ) in zip(
+            values.feasible, values.forward, values.backward,
+            values.saved_bytes_per_microbatch, values.static_bytes,
+            values.buffer_bytes, values.saved_per_microbatch,
+            values.in_flight_microbatches, values.saved_unit_counts,
+        )
+    ]
+    return list(zip(keys, evals))
 
 
-def _decode_entries(rows: Sequence[Sequence]) -> List[CacheEntry]:
-    """JSON rows -> cache entries (keys back to hashable tuples)."""
-    try:
-        return [(tuple(key), stage_eval_from_dict(value)) for key, value in rows]
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed cache entry row: {exc}") from exc
+def _encode_entries(entries: Sequence[CacheEntry]) -> Dict:
+    """Cache entries -> ``{"fingerprints": [...], "rows": [...]}``.
+
+    A key is an evaluator fingerprint followed by the range-key fields;
+    each distinct fingerprint is stored once and rows refer to it by
+    index.
+    """
+    split = len(RANGE_KEY_FIELDS)
+    fingerprints: Dict[Tuple, int] = {}
+    rows = []
+    for key, value in entries:
+        index = fingerprints.setdefault(key[:-split], len(fingerprints))
+        rows.append(_encode_row(index, key[-split:], value))
+    return {"fingerprints": list(fingerprints), "rows": rows}
+
+
+def _decode_entries(document) -> List[CacheEntry]:
+    """The inverse of :func:`_encode_entries`, checking every row.
+
+    The keys of one evaluator's entries share its fingerprint's fields,
+    so a loaded cache holds each fingerprint's strings once.
+    """
+    if not isinstance(document, dict):
+        raise CheckpointError("cache entries must be a JSON object")
+    fingerprints = document.get("fingerprints")
+    rows = document.get("rows")
+    if not isinstance(fingerprints, list) or not isinstance(rows, list):
+        raise CheckpointError("cache entries need 'fingerprints' and 'rows' lists")
+    table: List[Tuple] = []
+    for index, fingerprint in enumerate(fingerprints):
+        if not isinstance(fingerprint, (list, tuple)) or not all(
+            field is None or isinstance(field, (str, int, float))
+            for field in fingerprint
+        ):
+            raise CheckpointError(
+                f"fingerprint {index} must be a list of JSON scalars"
+            )
+        table.append(tuple(fingerprint))
+    return _decode_rows(rows, table)
 
 
 def _atomic_write_json(document: Dict, path: str) -> None:
-    """Write-then-rename so a kill mid-write never corrupts the file."""
+    """Encode in full, then write-then-rename.
+
+    ``json.dumps`` runs the C encoder, and encoding before the temp file
+    opens means an unencodable document leaves no partial file; the
+    rename means a kill mid-write never corrupts the previous one.
+    """
+    text = json.dumps(document, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
-        json.dump(document, handle, sort_keys=True)
+        handle.write(text)
         handle.write("\n")
     os.replace(tmp, path)
+
+
+_T = TypeVar("_T")
+
+
+def _load_json_file(path: str, decode: Callable[[Dict], _T]) -> _T:
+    """Read and decode one JSON document.
+
+    Every failure is a :class:`CheckpointError` whose message starts with
+    ``path``: invalid JSON, a document that is not an object, or whatever
+    ``decode`` rejects.
+    """
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise CheckpointError(
+            f"{path}: not a JSON object (got {type(document).__name__})"
+        )
+    try:
+        return decode(document)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def save_cache_file(cache: StageEvalCache, path: str) -> int:
     """Persist a cache's shareable entries for cross-run warm starts."""
     entries = cache.export_entries()
     _atomic_write_json(
-        {
-            "format_version": CACHE_FILE_FORMAT_VERSION,
-            "entries": _encode_entries(entries),
-        },
+        {"format_version": CACHE_FILE_FORMAT_VERSION, **_encode_entries(entries)},
         path,
     )
     return len(entries)
 
 
-def load_cache_file(path: str) -> List[CacheEntry]:
-    """Load the entries of a persisted cache file (see :func:`save_cache_file`)."""
-    with open(path) as handle:
-        document = json.load(handle)
+def _cache_file_from_dict(document: Dict) -> List[CacheEntry]:
     version = document.get("format_version")
     if version != CACHE_FILE_FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported cache file version {version} (want {CACHE_FILE_FORMAT_VERSION})"
         )
-    return _decode_entries(document.get("entries", []))
+    return _decode_entries(document)
+
+
+def load_cache_file(path: str) -> List[CacheEntry]:
+    """Load the entries of a persisted cache file (see :func:`save_cache_file`).
+
+    Raises:
+        CheckpointError: the file is not valid JSON, has another format
+            version, or holds a malformed row.
+    """
+    return _load_json_file(path, _cache_file_from_dict)
 
 
 def sweep_fingerprint(
@@ -313,7 +549,7 @@ def checkpoint_from_dict(data: Dict) -> SweepCheckpoint:
                 int(index): wall for index, wall in data.get("walls", {}).items()
             },
             pruned=tuple(data.get("pruned", [])),
-            cache_entries=tuple(_decode_entries(data.get("cache_entries", []))),
+            cache_entries=tuple(_decode_entries(data["cache_entries"])),
         )
     except CheckpointError:
         raise
@@ -328,12 +564,7 @@ def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
 
 def load_checkpoint(path: str) -> SweepCheckpoint:
     """Read a checkpoint file written by :func:`save_checkpoint`."""
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path!r} is not valid JSON: {exc}") from exc
-    return checkpoint_from_dict(document)
+    return _load_json_file(path, checkpoint_from_dict)
 
 
 # ---------------------------------------------------------------------------

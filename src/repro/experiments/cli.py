@@ -436,6 +436,13 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
     return best, best_strategy
 
 
+def _unusable_file(exc: Exception) -> int:
+    """Report a cache or checkpoint file that cannot be used; exit code 2."""
+    print(f"error: {exc}; deleting the file makes the next run start cold",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
     """``adapipe plan`` through the sweep orchestrator (--sweep-* flags).
 
@@ -445,6 +452,7 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
     """
     from repro.baselines import evaluate_method
     from repro.core.isomorphism import StageEvalCache
+    from repro.core.orchestrator import CheckpointError
     from repro.core.search import PlannerContext
     from repro.core.serialize import dump_plan
     from repro.core.sweep import SweepConfig, run_sweep
@@ -475,18 +483,21 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
         checkpoint_path=args.sweep_checkpoint,
         cache_path=args.sweep_cache,
     )
-    result = run_sweep(
-        cluster,
-        spec,
-        train,
-        args.devices,
-        planner=args.method,
-        config=config,
-        resume_from=args.sweep_resume,
-        progress=progress,
-        eval_cache=cache,
-        memory_limit_bytes=limit,
-    )
+    try:
+        result = run_sweep(
+            cluster,
+            spec,
+            train,
+            args.devices,
+            planner=args.method,
+            config=config,
+            resume_from=args.sweep_resume,
+            progress=progress,
+            eval_cache=cache,
+            memory_limit_bytes=limit,
+        )
+    except CheckpointError as exc:
+        return _unusable_file(exc)
     if result.best is None:
         print(f"no feasible strategy for {args.method} "
               f"({args.model}, seq {args.seq}) — all candidates OOM")
@@ -626,7 +637,11 @@ def _cmd_replan(args) -> int:
     keys guarantee cached and recomputed evaluations agree).
     """
     from repro.core.isomorphism import StageEvalCache
-    from repro.core.orchestrator import load_cache_file, save_cache_file
+    from repro.core.orchestrator import (
+        CheckpointError,
+        load_cache_file,
+        save_cache_file,
+    )
     from repro.core.replan import replan
     from repro.core.serialize import dump_plan, load_plan
     from repro.hardware.cluster import cluster_a, cluster_b
@@ -651,7 +666,11 @@ def _cmd_replan(args) -> int:
         import os
 
         if os.path.exists(args.cache):
-            loaded = cache.merge_entries(load_cache_file(args.cache))
+            try:
+                entries = load_cache_file(args.cache)
+            except CheckpointError as exc:
+                return _unusable_file(exc)
+            loaded = cache.merge_entries(entries)
     print(
         f"replanning {plan.method} {plan.parallel} onto a {len(pool)}-rank "
         f"pool ({loaded} cached evaluations loaded)"

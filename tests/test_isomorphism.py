@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ParallelConfig, TrainingConfig
-from repro.core.isomorphism import StageEvaluator
+from repro.core.isomorphism import RANGE_KEY_FIELDS, StageEvaluator
 from repro.core.search import PlannerContext
 from repro.hardware.cluster import cluster_a
 from repro.model.spec import gpt3_175b
@@ -112,3 +112,11 @@ class TestStageEvalContents:
         eval_ = evaluator.evaluate(3, 1, 4)  # ATT FFN ATT FFN
         assert eval_.saved_unit_counts.get("attn.out", 0) == 2
         assert eval_.saved_unit_counts.get("ffn.out", 0) == 2
+
+
+def test_range_key_fields_name_every_key_field(evaluator):
+    """Persisted cache rows split keys by RANGE_KEY_FIELDS: it must match
+    the range key the evaluator builds, for every stage and slice."""
+    L = evaluator.num_layers
+    for stage, i, j in [(0, 0, 3), (1, 3, 6), (3, L - 5, L - 1)]:
+        assert len(evaluator._key(stage, i, j)) == len(RANGE_KEY_FIELDS)

@@ -9,20 +9,34 @@ checkpoint/resume — including a real SIGKILL mid-sweep.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ParallelConfig
-from repro.core.isomorphism import PRIVATE_FINGERPRINT, StageEvalCache
+from repro.core.isomorphism import (
+    PRIVATE_FINGERPRINT,
+    RANGE_KEY_FIELDS,
+    StageEval,
+    StageEvalCache,
+)
 from repro.core.orchestrator import (
+    CACHE_FILE_FORMAT_VERSION,
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
     ShardTask,
+    SweepCheckpoint,
     SweepProgress,
+    _ROW_COLUMNS,
     _WorkerInit,
+    _atomic_write_json,
     checkpoint_from_dict,
     checkpoint_to_dict,
     load_cache_file,
@@ -31,12 +45,15 @@ from repro.core.orchestrator import (
     resolve_planner,
     run_shard,
     save_cache_file,
+    save_checkpoint,
     sweep_fingerprint,
 )
 from repro.core.search import PlannerContext, enumerate_parallel_strategies
 from repro.core.serialize import plan_signature
 from repro.core.sweep import SweepConfig, run_sweep, strategy_lower_bound
+from repro.experiments.cli import main as cli_main
 from repro.hardware.cluster import cluster_a
+from repro.profiler.memory import StageMemory
 
 LIMIT = 8 * 1024**2
 
@@ -159,6 +176,15 @@ class TestCheckpointResume:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(path))
+
+    def test_malformed_cache_file_rejected(self, tmp_path):
+        path = tmp_path / "evals.json"
+        path.write_text('{"format_version": 2, "fingerprints": [')
+        with pytest.raises(CheckpointError, match="not valid JSON"):
+            load_cache_file(str(path))
+        path.write_text(json.dumps([1, 2]))
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_cache_file(str(path))
 
     def test_checkpoint_round_trip(self, sweep_args, tmp_path):
         path = str(tmp_path / "frontier.json")
@@ -571,3 +597,300 @@ class TestFingerprint:
         assert saved == len(loaded)
         for key, value in cache.export_entries():
             assert loaded[key] == value
+
+
+# ---------------------------------------------------------------------------
+# Cache file format v2: a fingerprint table, flat rows, checks on load
+# ---------------------------------------------------------------------------
+
+_FINGERPRINT = ("DeviceSpec(name='A100-80GB', ...)", 600e9, 8, 1, 0.0, None)
+
+
+def _stage_eval(feasible=True, units=None, in_flight=2):
+    return StageEval(
+        feasible=feasible,
+        forward=1.5,
+        backward=3.0 if feasible else float("inf"),
+        saved_unit_counts={"attn.qkv": 2, "ffn.fc1": 1} if units is None else units,
+        saved_bytes_per_microbatch=1024.0,
+        memory=StageMemory(4096.0, 512.0, 1024.0, in_flight),
+    )
+
+
+def _entries():
+    """Row 0 is feasible, row 1 infeasible (inf backward, no saved units)."""
+    return [
+        (_FINGERPRINT + (2, True, False, 1, 1, 1.0, 8.0e9), _stage_eval()),
+        (
+            _FINGERPRINT + (1, False, True, 2, 1, 1.3, 8.0e9),
+            _stage_eval(feasible=False, units={}, in_flight=1),
+        ),
+    ]
+
+
+def _write_cache_file(path, mutate=None):
+    """Save :func:`_entries`, then let ``mutate`` edit the JSON document."""
+    cache = StageEvalCache()
+    cache.merge_entries(_entries())
+    save_cache_file(cache, str(path))
+    if mutate is not None:
+        document = json.loads(path.read_text())
+        mutate(document)
+        path.write_text(json.dumps(document))
+
+
+_NUMBER = "a finite non-negative number"
+_COUNT = "a non-negative int"
+_FLAG = "a bool"
+_UNITS = "a list of [unit, count] pairs"
+
+#: (row, column, bad value, what the error says the column wants).
+_BAD_CELLS = [
+    (1, "forward", float("nan"), _NUMBER),
+    (0, "backward", -5.0, "a non-negative number or inf"),
+    (0, "forward", "x", _NUMBER),
+    (0, "forward", True, _NUMBER),
+    (0, "forward", float("inf"), _NUMBER),
+    (0, "backward", float("inf"), "finite in a feasible row"),
+    (1, "backward", float("nan"), "a non-negative number or inf"),
+    (0, "rank_scale", float("nan"), _NUMBER),
+    (1, "rank_capacity", float("inf"), _NUMBER),
+    (0, "saved_bytes_per_microbatch", -1.0, _NUMBER),
+    (0, "static_bytes", None, _NUMBER),
+    (1, "buffer_bytes", -512.0, _NUMBER),
+    (0, "saved_per_microbatch", float("nan"), _NUMBER),
+    (0, "feasible", 1, _FLAG),
+    (0, "first", 0, _FLAG),
+    (1, "last", None, _FLAG),
+    (0, "in_flight", -1, _COUNT),
+    (0, "in_flight", 1.5, _COUNT),
+    (0, "attention", "2", _COUNT),
+    (1, "ffn", True, _COUNT),
+    (0, "in_flight_microbatches", -2, _COUNT),
+    (0, "saved_unit_counts", [["attn.qkv", -1]], _UNITS),
+    (0, "saved_unit_counts", [["attn.qkv", 1.0]], _UNITS),
+    (0, "saved_unit_counts", [[3, 1]], _UNITS),
+    (0, "saved_unit_counts", [["attn.qkv", 1, 2]], _UNITS),
+    (1, "saved_unit_counts", {"attn.qkv": 1}, _UNITS),
+    (1, "fingerprint", 1, "an index below 1"),
+    (0, "fingerprint", -1, "an index below 1"),
+    (0, "fingerprint", True, "an index below 1"),
+]
+
+_FINGERPRINTS = st.tuples(
+    st.text(max_size=40),
+    st.floats(0.0, 1e13),
+    st.integers(1, 64),
+    st.one_of(st.none(), st.integers(0, 2**32)),
+)
+_RANGE_KEYS = st.tuples(
+    st.integers(0, 32),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 96),
+    st.integers(0, 96),
+    st.floats(0.5, 4.0),
+    st.floats(1e9, 1e11),
+)
+_SIZES = st.floats(0.0, 1e15)
+_UNIT_COUNTS = st.dictionaries(
+    st.sampled_from(["attn.qkv", "attn.core", "ffn.fc1", "ffn.act", "norm"]),
+    st.integers(0, 64),
+    max_size=5,
+)
+
+
+@st.composite
+def _stage_evals(draw):
+    feasible = draw(st.booleans())
+    return StageEval(
+        feasible=feasible,
+        forward=draw(_SIZES),
+        backward=draw(_SIZES) if feasible else float("inf"),
+        saved_unit_counts=draw(_UNIT_COUNTS),
+        saved_bytes_per_microbatch=draw(_SIZES),
+        memory=StageMemory(
+            draw(_SIZES), draw(_SIZES), draw(_SIZES), draw(st.integers(0, 32))
+        ),
+    )
+
+
+@st.composite
+def _cache_entries(draw):
+    """Entries of one to three evaluators, feasible and infeasible."""
+    fingerprints = draw(st.lists(_FINGERPRINTS, min_size=1, max_size=3, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(fingerprints), _RANGE_KEYS, _stage_evals()),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    return [(fingerprint + key, value) for fingerprint, key, value in rows]
+
+
+class TestCacheFileFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_cache_entries())
+    def test_round_trip_keeps_every_entry(self, entries):
+        cache = StageEvalCache()
+        cache.merge_entries(entries)
+        saved = cache.export_entries()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "evals.json")
+            assert save_cache_file(cache, path) == len(saved)
+            with open(path) as handle:
+                document = json.load(handle)
+            loaded = load_cache_file(path)
+        assert loaded == saved
+        split = len(RANGE_KEY_FIELDS)
+        distinct = {key[:-split] for key, _ in saved}
+        assert len(document["fingerprints"]) == len(distinct)
+        # The entries of one evaluator share its fingerprint's fields.
+        first_key = {}
+        for key, _ in loaded:
+            seen = first_key.setdefault(key[:-split], key)
+            assert all(a is b for a, b in zip(seen[:-split], key[:-split]))
+
+    def test_rows_are_flat_and_reference_one_fingerprint(self, tmp_path):
+        path = tmp_path / "evals.json"
+        _write_cache_file(path)
+        document = json.loads(path.read_text())
+        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 2
+        assert document["fingerprints"] == [list(_FINGERPRINT)]
+        feasible, infeasible = document["rows"]
+        assert len(feasible) == len(_ROW_COLUMNS)
+        assert feasible[: 1 + len(RANGE_KEY_FIELDS)] == [
+            0, 2, True, False, 1, 1, 1.0, 8.0e9
+        ]
+        assert feasible[-1] == [["attn.qkv", 2], ["ffn.fc1", 1]]
+        assert infeasible[_ROW_COLUMNS.index("backward")] == float("inf")
+        assert infeasible[-1] == []
+
+    @pytest.mark.parametrize("row, column, value, want", _BAD_CELLS)
+    def test_bad_value_names_row_and_column(self, tmp_path, row, column, value, want):
+        path = tmp_path / "evals.json"
+
+        def mutate(document):
+            document["rows"][row][_ROW_COLUMNS.index(column)] = value
+
+        _write_cache_file(path, mutate)
+        with pytest.raises(CheckpointError) as raised:
+            load_cache_file(str(path))
+        assert str(raised.value).startswith(
+            f"{path}: cache row {row}: {column} must be {want}, got "
+        )
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda d: d["rows"][1].pop(),
+                "cache row 1: want a list of 17 columns, got 16",
+            ),
+            (
+                lambda d: d["rows"].__setitem__(0, {}),
+                "cache row 0: want a list of 17 columns, got dict",
+            ),
+            (
+                lambda d: d.pop("rows"),
+                "cache entries need 'fingerprints' and 'rows' lists",
+            ),
+            (
+                lambda d: d["fingerprints"][0].append([1]),
+                "fingerprint 0 must be a list of JSON scalars",
+            ),
+        ],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, mutate, message):
+        path = tmp_path / "evals.json"
+        _write_cache_file(path, mutate)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_cache_file(str(path))
+
+    def test_checkpoint_rows_are_checked(self, tmp_path):
+        path = tmp_path / "frontier.json"
+        save_checkpoint(SweepCheckpoint("digest", None, {}, {}, (), tuple(_entries())), str(path))
+        assert load_checkpoint(str(path)).cache_entries == tuple(_entries())
+        document = json.loads(path.read_text())
+        document["cache_entries"]["rows"][1][_ROW_COLUMNS.index("forward")] = float("nan")
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="cache row 1: forward must be"):
+            load_checkpoint(str(path))
+
+    def test_v1_documents_rejected_naming_both_versions(self, tmp_path):
+        v1_entry = [
+            list(_FINGERPRINT) + [2, True, False, 1, 1, 1.0, 8.0e9],
+            {
+                "feasible": True, "forward": 1.5, "backward": 3.0,
+                "saved_unit_counts": {"attn.qkv": 2},
+                "saved_bytes_per_microbatch": 1024.0,
+                "memory": {
+                    "static_bytes": 4096.0, "buffer_bytes": 512.0,
+                    "saved_per_microbatch": 1024.0, "in_flight_microbatches": 2,
+                },
+            },
+        ]
+        cache_path = tmp_path / "evals.json"
+        cache_path.write_text(json.dumps({"format_version": 1, "entries": [v1_entry]}))
+        with pytest.raises(
+            CheckpointError,
+            match=rf"cache file version 1 \(want {CACHE_FILE_FORMAT_VERSION}\)",
+        ):
+            load_cache_file(str(cache_path))
+        checkpoint = checkpoint_to_dict(SweepCheckpoint("digest", None, {}, {}, (), ()))
+        checkpoint.update(format_version=1, cache_entries=[v1_entry])
+        checkpoint_path = tmp_path / "frontier.json"
+        checkpoint_path.write_text(json.dumps(checkpoint))
+        with pytest.raises(
+            CheckpointError,
+            match=rf"checkpoint version 1 \(want {CHECKPOINT_FORMAT_VERSION}\)",
+        ):
+            load_checkpoint(str(checkpoint_path))
+
+    def test_unencodable_document_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "evals.json"
+        _write_cache_file(path)
+        before = path.read_text()
+        with pytest.raises(TypeError):
+            _atomic_write_json({"rows": [object()]}, str(path))
+        assert path.read_text() == before
+        assert not (tmp_path / "evals.json.tmp").exists()
+
+
+class TestCacheFileCli:
+    """``plan --sweep-cache`` and ``replan --cache`` through ``cli.main``."""
+
+    PLAN = [
+        "plan", "--model", "bert-large", "--devices", "3",
+        "--device-pool", "a100:2,a100*1.3", "--memory-limit-gib", "8",
+        "--seq", "512", "--batch", "8", "--no-simulate", "--sweep-workers", "1",
+    ]
+
+    def test_warm_replans_then_old_files_exit_2(self, tmp_path, capsys):
+        cache = str(tmp_path / "evals.json")
+        plan = str(tmp_path / "plan.json")
+        assert cli_main([*self.PLAN, "--sweep-cache", cache, "--output", plan]) == 0
+        replan = [
+            "replan", "--plan", plan, "--model", "bert-large",
+            "--device-pool", "a100:2", "--cache", cache, "--memory-limit-gib", "8",
+        ]
+        assert cli_main(replan) == 0
+        assert cli_main(replan) == 0
+        out = capsys.readouterr().out
+        loaded = re.findall(r"\((\d+) cached evaluations loaded\)", out)
+        assert len(loaded) == 2 and int(loaded[1]) > 0
+
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"format_version": 1, "entries": []}))
+        for argv in (
+            [*replan[:-4], "--cache", str(old), "--memory-limit-gib", "8"],
+            [*self.PLAN, "--sweep-cache", str(old)],
+            [*self.PLAN, "--sweep-resume", str(old)],
+        ):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err
+            assert err.startswith(f"error: {old}: unsupported ")
+            assert "version 1 (want 2)" in err
+            assert "deleting the file makes the next run start cold" in err
