@@ -22,8 +22,9 @@ from repro.analysis.framework import clear_parse_cache
 
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: A small, stable changed-set stand-in: the digest chain the
-#: interprocedural rules anchor on.
+#: A small, stable changed-set stand-in: the task model, the lowering
+#: and the reference engine, whose hop addends the float-order contract
+#: pairs.
 CHANGED_SCOPE = [
     SRC_REPRO / "pipeline" / "simulator.py",
     SRC_REPRO / "pipeline" / "tasks.py",

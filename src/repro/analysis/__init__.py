@@ -1,16 +1,11 @@
 """adalint: domain-aware static analysis for the AdaPipe reproduction.
 
-An AST-based lint framework plus six rules proving, on every file at
+An AST-based lint framework plus five rules proving, on every file at
 every CI run, the invariants the repo's correctness rests on but no test
 suite can exhaustively cover.
 
 The original file-local families (PR 5):
 
-* **digest-coverage** — every field of a dataclass feeding a content
-  digest/fingerprint (simulation cache, stage-eval fingerprint, plan
-  serialization) is hashed or allowlisted with a reason; since v2 the
-  read set is *transitive* over the project call graph, so digests may
-  delegate to helpers;
 * **determinism** — no module-level/unseeded RNG, no wall-clock reads
   outside the measurement layers, no iteration over sets without
   ``sorted()``;
@@ -23,7 +18,7 @@ The original file-local families (PR 5):
 
 The interprocedural families (v2), built on the project symbol table /
 import graph (:mod:`repro.analysis.project`), call graph
-(:mod:`repro.analysis.callgraph`) and read-set/purity dataflow
+(:mod:`repro.analysis.callgraph`) and purity dataflow
 (:mod:`repro.analysis.dataflow`):
 
 * **transform-purity** — nothing reachable from the §9 duration
@@ -34,10 +29,13 @@ import graph (:mod:`repro.analysis.project`), call graph
 Registries need no rule: every schedule-kind site reads the one
 schedule-family table (:mod:`repro.pipeline.schedules.families`), and
 :mod:`repro.analysis.docs_sync` imports the experiment, method, engine
-and rule registries to check that the docs name every member.
+and rule registries to check that the docs name every member. Digests
+and codecs need none either: they walk ``dataclasses.fields``
+(:mod:`repro.content`), so a field is covered by construction and
+leaves a digest only through a reasoned declaration on itself.
 
 Entry points: ``adapipe lint`` (CLI; text/JSON/SARIF reporters), checks
-9 and 12 of ``adapipe validate``, and :func:`run_lint` for programmatic
+10 and 12 of ``adapipe validate``, and :func:`run_lint` for programmatic
 use. See ``docs/ALGORITHMS.md`` sections 10 and 15 for each rule's
 soundness argument.
 """

@@ -1,18 +1,7 @@
-"""Forward dataflow facts for adalint: attribute read-sets and purity.
+"""Forward dataflow facts for adalint: purity.
 
-Two analyses live here, both computed over the
-:class:`~repro.analysis.callgraph.CallGraph` closure of a root function.
-
-**Read-sets.** ``direct_reads(func)`` is the flat lattice join of every
-name and attribute a function loads; ``transitive_reads`` unions the
-direct sets over the call-graph closure. Digest-coverage v2 asks "could
-this digest possibly read field X?" — the union over-approximates along
-resolved edges (no path sensitivity), so a field read anywhere in the
-closure counts as covered. Unresolved callees contribute nothing, which
-is the analysis's documented incompleteness: a field read only inside an
-unresolvable dynamic call is reported missing, never silently covered.
-
-**Purity.** A function is treated as impure if it (a) stores into an
+Computed over the :class:`~repro.analysis.callgraph.CallGraph` closure of
+a root function. A function is treated as impure if it (a) stores into an
 attribute or subscript rooted at one of its parameters, or calls a
 known mutating method (``append``/``update``/``sort``/...) on one,
 (b) declares ``global``/``nonlocal`` or assigns a module-level name, or
@@ -21,13 +10,15 @@ through ``os``/``subprocess``/``shutil``/``socket``/``pathlib`` writes
 (``os.path`` and ``os.environ`` *reads* are exempt). Mutating fresh
 locals is allowed: purity here is the §9 duration-transform contract
 (inputs unchanged, no hidden state), not referential transparency.
+Unresolved callees contribute nothing, which is the analysis's
+documented incompleteness.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.project import FunctionInfo
@@ -36,8 +27,6 @@ __all__ = [
     "PurityViolation",
     "PurityReport",
     "check_purity",
-    "direct_reads",
-    "transitive_reads",
 ]
 
 # Methods that mutate their receiver in place on builtin containers /
@@ -72,41 +61,6 @@ IO_MODULES = frozenset({"os", "subprocess", "shutil", "socket", "pathlib"})
 # os.path.* and os.environ reads are pure computations over strings /
 # process state snapshots; json/hashlib are pure transformers.
 IO_EXEMPT_PREFIXES = ("os.path.", "os.environ", "os.cpu_count", "os.getpid")
-
-
-def direct_reads(func: ast.FunctionDef) -> Set[str]:
-    """Every bare name loaded plus every attribute name loaded.
-
-    Attribute reads contribute their terminal attribute (``task.overlap``
-    contributes both ``task`` and ``overlap``) — field coverage is a
-    question about attribute names, not access paths.
-    """
-    reads: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            reads.add(node.attr)
-    return reads
-
-
-def transitive_reads(
-    graph: CallGraph, root: FunctionInfo
-) -> Tuple[Set[str], Dict[str, FunctionInfo]]:
-    """Union of ``direct_reads`` over the call-graph closure of ``root``.
-
-    Returns ``(reads, witnesses)`` where ``witnesses`` maps each read
-    name to one closure function that reads it — used to explain *where*
-    a field is covered when a finding needs context.
-    """
-    reads: Set[str] = set()
-    witnesses: Dict[str, FunctionInfo] = {}
-    for func in graph.reachable([root]).values():
-        for name in direct_reads(func.node):
-            if name not in reads:
-                reads.add(name)
-                witnesses[name] = func
-    return reads, witnesses
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ class Finding:
     """One rule violation.
 
     Attributes:
-        rule: name of the rule that fired (``"digest-coverage"``, ...).
+        rule: name of the rule that fired (``"determinism"``, ...).
         severity: ``"error"`` (gates CI) or ``"warning"``.
         path: file the finding is in, relative to the lint root (POSIX
             separators, stable across platforms).

@@ -204,9 +204,9 @@ class LintContext:
     """Shared state of one lint run: the root and a parse cache.
 
     Rules that need *other* files than the one under check (e.g. the
-    digest-coverage rule reads the dataclass definition feeding a digest
-    function) go through :meth:`module_at`, so every file is parsed at
-    most once per run even when several rules consult it.
+    float-order rule reads every site of a contract) go through
+    :meth:`module_at`, so every file is parsed at most once per run even
+    when several rules consult it.
     """
 
     def __init__(self, root: Path) -> None:

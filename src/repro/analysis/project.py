@@ -2,14 +2,14 @@
 
 The PR-5 rules were strictly file-local: each ``check()`` saw one parsed
 module and could at best pull in other files by exact path. The
-interprocedural rule families (digest-coverage v2, transform-purity,
-float-order-divergence) need to answer *project-level* questions — which
-function does this call resolve to, which dataclass fields does this
-function transitively read. :class:`ProjectIndex` is the substrate they
-share: one pass over every ``.py`` file under a tree root building
+interprocedural rule families (transform-purity, float-order-divergence)
+need to answer *project-level* questions — which function does this call
+resolve to, and what does everything it reaches do.
+:class:`ProjectIndex` is the substrate they share: one pass over every
+``.py`` file under a tree root building
 
 * a **symbol table** per module — functions (qualified ``Class.method``
-  names) and classes with their dataclass fields;
+  names) and classes;
 * an **import graph** — per-module alias tables mapping local names to
   canonical dotted targets, plus suffix-tolerant module resolution so the
   same machinery works on the real tree (``repro.pipeline.tasks``) and on
@@ -37,7 +37,6 @@ __all__ = [
     "ProjectIndex",
     "build_project",
     "dotted_name_of",
-    "find_class",
     "find_function",
     "import_aliases",
 ]
@@ -117,13 +116,6 @@ def find_function(tree: ast.Module, dotted: str) -> Optional[ast.FunctionDef]:
             return None
     for node in body:
         if isinstance(node, ast.FunctionDef) and node.name == parts[-1]:
-            return node
-    return None
-
-
-def find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == name:
             return node
     return None
 

@@ -5,12 +5,6 @@ Importing this package registers every rule with the framework registry;
 """
 
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.digest_coverage import (
-    DEFAULT_CONTRACTS,
-    DigestContract,
-    DigestCoverageRule,
-    FieldAllowance,
-)
 from repro.analysis.rules.float_order import (
     DEFAULT_FLOAT_CONTRACTS,
     FloatOrderContract,
@@ -26,13 +20,9 @@ from repro.analysis.rules.transform_purity import (
 from repro.analysis.rules.units import UnitConsistencyRule
 
 __all__ = [
-    "DEFAULT_CONTRACTS",
     "DEFAULT_FLOAT_CONTRACTS",
     "DEFAULT_PURITY_CONTRACTS",
     "DeterminismRule",
-    "DigestContract",
-    "DigestCoverageRule",
-    "FieldAllowance",
     "FloatOrderContract",
     "FloatOrderRule",
     "FloatSite",

@@ -42,6 +42,8 @@ whatever was planned, independent of completion order.
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -50,16 +52,18 @@ import operator
 import os
 import time
 import traceback
+import typing
 from collections import deque
 from dataclasses import dataclass, field
 from queue import Empty
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Deque,
     Dict,
+    Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -69,6 +73,7 @@ from typing import (
 )
 
 from repro.config import ParallelConfig, TrainingConfig
+from repro.content import CODEC, CodecError, field_hints, from_json, to_json
 from repro.core.isomorphism import (
     RANGE_KEY_FIELDS,
     CacheEntry,
@@ -77,10 +82,9 @@ from repro.core.isomorphism import (
 )
 from repro.core.plan import PipelinePlan
 from repro.core.search import PlannerContext
-from repro.core.serialize import plan_from_dict, plan_to_dict
+from repro.core.serialize import atomic_write_json, plan_from_dict, plan_to_dict
 from repro.hardware.cluster import ClusterSpec
 from repro.model.spec import ModelSpec
-from repro.profiler.memory import StageMemory
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import, no cycle
     from repro.core.sweep import SweepConfig
@@ -89,8 +93,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, no cycle
 #: pickled to workers) or the name of a method in the baselines registry.
 PlannerRef = Union[str, Callable[[PlannerContext], PipelinePlan]]
 
-CHECKPOINT_FORMAT_VERSION = 2
-CACHE_FILE_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
+CACHE_FILE_FORMAT_VERSION = 3
 
 #: How long the coordinator waits on the result queue before checking
 #: worker liveness (a worker killed by the OOM killer would otherwise
@@ -132,36 +136,40 @@ def per_sample_time(plan: PipelinePlan) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-class _EvalColumns(NamedTuple):
-    """The value columns of a persisted cache row, in file order.
-
-    A row is ``[fingerprint index, *range key, *_EvalColumns]``: an index
-    into the document's ``fingerprints`` table, the
-    :data:`~repro.core.isomorphism.RANGE_KEY_FIELDS` of the entry's key,
-    then the ``StageEval`` and ``StageMemory`` numbers. The encoder fills
-    this tuple by field name and the decoder reads it by field name, so
-    the column order is declared here only.
-    """
-
-    feasible: bool
-    forward: float
-    backward: float
-    saved_bytes_per_microbatch: float
-    static_bytes: float
-    buffer_bytes: float
-    saved_per_microbatch: float
-    in_flight_microbatches: int
-    saved_unit_counts: List[Tuple[str, int]]  # sorted by unit name
+def _leaf_columns(cls: type, prefix: str = "") -> List[Tuple[str, Any]]:
+    """``(attribute path, hint)`` of each field of ``cls`` in field order,
+    with a dataclass-valued field replaced by its own fields."""
+    columns: List[Tuple[str, Any]] = []
+    for f, hint in field_hints(cls):
+        if dataclasses.is_dataclass(hint):
+            columns.extend(_leaf_columns(hint, f"{prefix}{f.name}."))
+        else:
+            columns.append((f"{prefix}{f.name}", hint))
+    return columns
 
 
-#: Every column of a row, in file order.
+#: The value columns of a persisted cache row, in file order: the fields
+#: of ``StageEval``, with ``memory`` expanded into those of
+#: ``StageMemory``. A mapping column (``saved_unit_counts``) is stored as
+#: its sorted ``[key, value]`` pairs. The encoder and the decoder both
+#: walk this list, so a new field is saved and restored without an edit.
+_VALUE_COLUMNS: Tuple[Tuple[str, Any], ...] = tuple(_leaf_columns(StageEval))
+
+#: Every column of a row, in file order: an index into the document's
+#: ``fingerprints`` table, the
+#: :data:`~repro.core.isomorphism.RANGE_KEY_FIELDS` of the entry's key,
+#: then the value columns, each named by its field.
 _ROW_COLUMNS: Tuple[str, ...] = (
     "fingerprint",
     *RANGE_KEY_FIELDS,
-    *_EvalColumns._fields,
+    *(path.rpartition(".")[2] for path, _ in _VALUE_COLUMNS),
 )
 _VALUES_AT = 1 + len(RANGE_KEY_FIELDS)
 _INF = float("inf")
+
+
+def _is_mapping(hint: Any) -> bool:
+    return typing.get_origin(hint) in (dict, collections.abc.Mapping)
 
 
 # Each check below takes a whole column and passes only if every value in
@@ -229,37 +237,46 @@ _COLUMN_CHECKS: Dict[str, Tuple[Callable[[Sequence], bool], str]] = {
     "in_flight_microbatches": _COUNT,
     "saved_unit_counts": (_unit_counts, "a list of [unit, count] pairs"),
 }
+# A column derived from a new field fails here, at import, until it has a
+# load-time check; two fields of one name would share a check and a
+# message, so they fail too.
+_unchecked = [name for name in _ROW_COLUMNS[1:] if name not in _COLUMN_CHECKS]
+if _unchecked or len(set(_ROW_COLUMNS)) != len(_ROW_COLUMNS):
+    raise ImportError(
+        f"cache row columns need unique names and a load-time check each in "
+        f"_COLUMN_CHECKS; unchecked: {_unchecked}, columns: {_ROW_COLUMNS}"
+    )
 _ROW_CHECKS = tuple(
     (position, name, _COLUMN_CHECKS[name])
     for position, name in enumerate(_ROW_COLUMNS)
     if name != "fingerprint"
 )
+_row_values = operator.attrgetter(*(path for path, _ in _VALUE_COLUMNS))
+_MAPPING_AT = tuple(
+    position for position, (_, hint) in enumerate(_VALUE_COLUMNS) if _is_mapping(hint)
+)
 
 
 def _encode_row(fingerprint: int, range_key: Tuple, value: StageEval) -> List:
-    """One cache entry -> one flat row (see :class:`_EvalColumns`).
+    """One cache entry -> one flat row (see :data:`_ROW_COLUMNS`)."""
+    values = list(_row_values(value))
+    for position in _MAPPING_AT:
+        values[position] = sorted(values[position].items())
+    return [fingerprint, *range_key, *values]
 
-    The adalint ``digest-coverage`` contract binds this function to every
-    ``StageEval`` and ``StageMemory`` field, so a new cache-value field
-    cannot silently go unsaved (warm starts and resumed sweeps would
-    replay evaluations without it).
-    """
-    memory: StageMemory = value.memory
-    return [
-        fingerprint,
-        *range_key,
-        *_EvalColumns(
-            feasible=value.feasible,
-            forward=value.forward,
-            backward=value.backward,
-            saved_bytes_per_microbatch=value.saved_bytes_per_microbatch,
-            static_bytes=memory.static_bytes,
-            buffer_bytes=memory.buffer_bytes,
-            saved_per_microbatch=memory.saved_per_microbatch,
-            in_flight_microbatches=memory.in_flight_microbatches,
-            saved_unit_counts=sorted(value.saved_unit_counts.items()),
-        ),
-    ]
+
+def _build(cls: type, columns: Iterator[Sequence]) -> List:
+    """Objects of ``cls`` from its leaf columns, in :func:`_leaf_columns` order."""
+    args: List[Any] = []
+    for f, hint in field_hints(cls):
+        if dataclasses.is_dataclass(hint):
+            args.append(_build(hint, columns))
+        elif _is_mapping(hint):
+            args.append(map(dict, next(columns)))
+        else:
+            args.append(next(columns))
+    # Positional in field order: the dataclass __init__ order.
+    return list(map(cls, *args))
 
 
 def _check_column(
@@ -297,9 +314,10 @@ def _decode_rows(rows: List, fingerprints: Sequence[Tuple]) -> List[CacheEntry]:
     )
     for position, name, (check, want) in _ROW_CHECKS:
         _check_column(columns[position], name, check, want)
-    values = _EvalColumns._make(columns[_VALUES_AT:])
+    feasible = columns[_ROW_COLUMNS.index("feasible")]
+    backward = columns[_ROW_COLUMNS.index("backward")]
     _check_column(
-        [b if f else 0.0 for f, b in zip(values.feasible, values.backward)],
+        [b if f else 0.0 for f, b in zip(feasible, backward)],
         "backward",
         _numbers,
         "finite in a feasible row",
@@ -308,31 +326,7 @@ def _decode_rows(rows: List, fingerprints: Sequence[Tuple]) -> List[CacheEntry]:
         fingerprints[index] + range_key
         for index, range_key in zip(columns[0], zip(*columns[1:_VALUES_AT]))
     ]
-    evals = [
-        StageEval(
-            feasible=feasible,
-            forward=forward,
-            backward=backward,
-            saved_unit_counts=dict(units),
-            saved_bytes_per_microbatch=saved_bytes,
-            memory=StageMemory(
-                static_bytes=static_bytes,
-                buffer_bytes=buffer_bytes,
-                saved_per_microbatch=saved_per,
-                in_flight_microbatches=in_flight,
-            ),
-        )
-        for (
-            feasible, forward, backward, saved_bytes, static_bytes,
-            buffer_bytes, saved_per, in_flight, units,
-        ) in zip(
-            values.feasible, values.forward, values.backward,
-            values.saved_bytes_per_microbatch, values.static_bytes,
-            values.buffer_bytes, values.saved_per_microbatch,
-            values.in_flight_microbatches, values.saved_unit_counts,
-        )
-    ]
-    return list(zip(keys, evals))
+    return list(zip(keys, _build(StageEval, iter(columns[_VALUES_AT:]))))
 
 
 def _encode_entries(entries: Sequence[CacheEntry]) -> Dict:
@@ -376,21 +370,6 @@ def _decode_entries(document) -> List[CacheEntry]:
     return _decode_rows(rows, table)
 
 
-def _atomic_write_json(document: Dict, path: str) -> None:
-    """Encode in full, then write-then-rename.
-
-    ``json.dumps`` runs the C encoder, and encoding before the temp file
-    opens means an unencodable document leaves no partial file; the
-    rename means a kill mid-write never corrupts the previous one.
-    """
-    text = json.dumps(document, sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
 _T = TypeVar("_T")
 
 
@@ -398,12 +377,15 @@ def _load_json_file(path: str, decode: Callable[[Dict], _T]) -> _T:
     """Read and decode one JSON document.
 
     Every failure is a :class:`CheckpointError` whose message starts with
-    ``path``: invalid JSON, a document that is not an object, or whatever
-    ``decode`` rejects.
+    ``path``: a path that cannot be read (missing, a directory), invalid
+    JSON, a document that is not an object, or whatever ``decode``
+    rejects.
     """
     try:
         with open(path) as handle:
             document = json.load(handle)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
@@ -419,7 +401,7 @@ def _load_json_file(path: str, decode: Callable[[Dict], _T]) -> _T:
 def save_cache_file(cache: StageEvalCache, path: str) -> int:
     """Persist a cache's shareable entries for cross-run warm starts."""
     entries = cache.export_entries()
-    _atomic_write_json(
+    atomic_write_json(
         {"format_version": CACHE_FILE_FORMAT_VERSION, **_encode_entries(entries)},
         path,
     )
@@ -439,8 +421,8 @@ def load_cache_file(path: str) -> List[CacheEntry]:
     """Load the entries of a persisted cache file (see :func:`save_cache_file`).
 
     Raises:
-        CheckpointError: the file is not valid JSON, has another format
-            version, or holds a malformed row.
+        CheckpointError: the file cannot be read or is not valid JSON, has
+            another format version, or holds a malformed row.
     """
     return _load_json_file(path, _cache_file_from_dict)
 
@@ -503,63 +485,40 @@ class SweepCheckpoint:
     completed: Dict[int, Dict]
     walls: Dict[int, float]
     pruned: Tuple[int, ...]
-    cache_entries: Tuple[CacheEntry, ...]
+    cache_entries: Tuple[CacheEntry, ...] = field(metadata={
+        CODEC: (_encode_entries, lambda document: tuple(_decode_entries(document)))
+    })
 
 
 def checkpoint_to_dict(checkpoint: SweepCheckpoint) -> Dict:
-    """Serialise a checkpoint to JSON-compatible data.
-
-    Covered by an adalint ``digest-coverage`` contract: every
-    :class:`SweepCheckpoint` field must be read here, so new frontier
-    state cannot silently be dropped from the resume path.
-    """
-    return {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "sweep_digest": checkpoint.sweep_digest,
-        "incumbent": checkpoint.incumbent,
-        "completed": {
-            str(index): document
-            for index, document in sorted(checkpoint.completed.items())
-        },
-        "walls": {
-            str(index): wall for index, wall in sorted(checkpoint.walls.items())
-        },
-        "pruned": sorted(checkpoint.pruned),
-        "cache_entries": _encode_entries(checkpoint.cache_entries),
-    }
+    """Serialise a checkpoint to JSON-compatible data: every field, plus
+    the format version. Integer keys become JSON strings."""
+    return {"format_version": CHECKPOINT_FORMAT_VERSION, **to_json(checkpoint)}
 
 
 def checkpoint_from_dict(data: Dict) -> SweepCheckpoint:
-    """Reconstruct a checkpoint from :func:`checkpoint_to_dict` output."""
-    try:
-        version = data["format_version"]
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version} "
-                f"(want {CHECKPOINT_FORMAT_VERSION})"
-            )
-        return SweepCheckpoint(
-            sweep_digest=data["sweep_digest"],
-            incumbent=data.get("incumbent"),
-            completed={
-                int(index): document
-                for index, document in data.get("completed", {}).items()
-            },
-            walls={
-                int(index): wall for index, wall in data.get("walls", {}).items()
-            },
-            pruned=tuple(data.get("pruned", [])),
-            cache_entries=tuple(_decode_entries(data["cache_entries"])),
+    """Reconstruct a checkpoint from :func:`checkpoint_to_dict` output.
+
+    Raises:
+        CheckpointError: another format version, a field that is missing,
+            unknown or of the wrong JSON type, or a malformed cache row.
+    """
+    body = dict(data)
+    version = body.pop("format_version", None)
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version} "
+            f"(want {CHECKPOINT_FORMAT_VERSION})"
         )
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    try:
+        return from_json(SweepCheckpoint, body)
+    except CodecError as exc:
         raise CheckpointError(f"malformed checkpoint document: {exc}") from exc
 
 
 def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
     """Atomically write a checkpoint file."""
-    _atomic_write_json(checkpoint_to_dict(checkpoint), path)
+    atomic_write_json(checkpoint_to_dict(checkpoint), path)
 
 
 def load_checkpoint(path: str) -> SweepCheckpoint:

@@ -10,13 +10,12 @@ replayed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import Any, Dict
+import os
+from typing import Any, Dict, Optional
 
-from repro.config import ParallelConfig, TrainingConfig
-from repro.core.plan import PipelinePlan, StagePlan
-from repro.profiler.memory import StageMemory
+from repro.content import CodecError, from_json, to_json
+from repro.core.plan import PipelinePlan
 
 FORMAT_VERSION = 1
 
@@ -26,77 +25,30 @@ class PlanFormatError(ValueError):
 
 
 def plan_to_dict(plan: PipelinePlan) -> Dict[str, Any]:
-    """Serialise a plan to plain JSON-compatible data."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "method": plan.method,
-        "feasible": plan.feasible,
-        "hidden_size": plan.hidden_size,
-        "modeled_iteration_time": plan.modeled_iteration_time,
-        "metadata": dict(plan.metadata),
-        "parallel": {
-            "tensor_parallel": plan.parallel.tensor_parallel,
-            "pipeline_parallel": plan.parallel.pipeline_parallel,
-            "data_parallel": plan.parallel.data_parallel,
-        },
-        "train": dataclasses.asdict(plan.train),
-        "stages": [
-            {
-                "stage": stage.stage,
-                "layer_start": stage.layer_start,
-                "layer_end": stage.layer_end,
-                "saved_unit_counts": dict(stage.saved_unit_counts),
-                "forward_time": stage.forward_time,
-                "backward_time": stage.backward_time,
-                "params": stage.params,
-                "memory": {
-                    "static_bytes": stage.memory.static_bytes,
-                    "buffer_bytes": stage.memory.buffer_bytes,
-                    "saved_per_microbatch": stage.memory.saved_per_microbatch,
-                    "in_flight_microbatches": stage.memory.in_flight_microbatches,
-                },
-            }
-            for stage in plan.stages
-        ],
-    }
+    """Serialise a plan to plain JSON-compatible data: every field of the
+    plan, its stages and their memory, plus the format version."""
+    return {"format_version": FORMAT_VERSION, **to_json(plan)}
 
 
 def plan_from_dict(data: Dict[str, Any]) -> PipelinePlan:
-    """Reconstruct a plan from :func:`plan_to_dict` output."""
+    """Reconstruct a plan from :func:`plan_to_dict` output.
+
+    Raises:
+        PlanFormatError: another format version, a field that is missing,
+            unknown or of the wrong JSON type (named by its dotted path),
+            or a plan :func:`validate_plan` rejects.
+    """
+    if not isinstance(data, dict):
+        raise PlanFormatError(f"plan document must be a JSON object, got {data!r}")
+    body = dict(data)
+    version = body.pop("format_version", None)
+    if version != FORMAT_VERSION:
+        raise PlanFormatError(
+            f"unsupported plan format version {version} (want {FORMAT_VERSION})"
+        )
     try:
-        version = data["format_version"]
-        if version != FORMAT_VERSION:
-            raise PlanFormatError(
-                f"unsupported plan format version {version} (want {FORMAT_VERSION})"
-            )
-        parallel = ParallelConfig(**data["parallel"])
-        train = TrainingConfig(**data["train"])
-        stages = tuple(
-            StagePlan(
-                stage=entry["stage"],
-                layer_start=entry["layer_start"],
-                layer_end=entry["layer_end"],
-                saved_unit_counts=dict(entry["saved_unit_counts"]),
-                forward_time=entry["forward_time"],
-                backward_time=entry["backward_time"],
-                memory=StageMemory(**entry["memory"]),
-                params=entry.get("params", 0),
-            )
-            for entry in data["stages"]
-        )
-        plan = PipelinePlan(
-            method=data["method"],
-            parallel=parallel,
-            train=train,
-            stages=stages,
-            modeled_iteration_time=data.get("modeled_iteration_time"),
-            feasible=data.get("feasible", True),
-            hidden_size=data.get("hidden_size", 0),
-            metadata=dict(data.get("metadata", {})),
-        )
-    except PlanFormatError:
-        raise
-    except (KeyError, TypeError) as exc:
+        plan = from_json(PipelinePlan, body)
+    except CodecError as exc:
         raise PlanFormatError(f"malformed plan document: {exc}") from exc
     validate_plan(plan)
     return plan
@@ -143,14 +95,43 @@ def validate_plan(plan: PipelinePlan) -> None:
         cursor = stage.layer_end
 
 
-def dump_plan(plan: PipelinePlan, path: str) -> None:
-    """Write a plan document to ``path``."""
-    with open(path, "w") as handle:
-        json.dump(plan_to_dict(plan), handle, indent=2, sort_keys=True)
+def atomic_write_json(document: Dict[str, Any], path: str, indent: Optional[int] = None) -> None:
+    """Encode in full, then write-then-rename.
+
+    Encoding before the temp file opens means an unencodable document
+    leaves no partial file; the rename means a kill mid-write never
+    corrupts the previous one. Without ``indent``, ``json.dumps`` runs
+    the C encoder.
+    """
+    text = json.dumps(document, indent=indent, sort_keys=True)
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as handle:
+        handle.write(text)
         handle.write("\n")
+    os.replace(tmp, path)
+
+
+def dump_plan(plan: PipelinePlan, path: str) -> None:
+    """Write a plan document to ``path`` (write-then-rename)."""
+    atomic_write_json(plan_to_dict(plan), path, indent=2)
 
 
 def load_plan(path: str) -> PipelinePlan:
-    """Read a plan document from ``path``."""
-    with open(path) as handle:
-        return plan_from_dict(json.load(handle))
+    """Read a plan document from ``path``.
+
+    Raises:
+        PlanFormatError: the file cannot be read, is not valid JSON, or
+            holds a document :func:`plan_from_dict` rejects. The message
+            starts with ``path``.
+    """
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise PlanFormatError(f"{path}: cannot read: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise PlanFormatError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return plan_from_dict(document)
+    except PlanFormatError as exc:
+        raise PlanFormatError(f"{path}: {exc}") from exc

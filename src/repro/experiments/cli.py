@@ -11,8 +11,8 @@
   stage-evaluation cache.
 * ``adapipe validate`` — the cross-implementation consistency battery.
 * ``adapipe lint`` — adalint, the domain-aware static analysis pass
-  (digest coverage, determinism, unit consistency, frozen mutation,
-  transform purity, float-order divergence);
+  (determinism, unit consistency, frozen mutation, transform purity,
+  float-order divergence);
   text/JSON/SARIF reporters, ``--changed`` for git-scoped runs.
 * ``adapipe audit ...`` — differential memory audit: the Section 4.2
   model's per-stage totals vs the simulator's measured peaks, across the
@@ -179,9 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="adalint: domain-aware static analysis (digest coverage, "
-             "determinism, unit consistency, frozen mutation, transform "
-             "purity, float op order)",
+        help="adalint: domain-aware static analysis (determinism, unit "
+             "consistency, frozen mutation, transform purity, float op "
+             "order)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -438,8 +438,11 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
 
 def _unusable_file(exc: Exception) -> int:
     """Report a cache or checkpoint file that cannot be used; exit code 2."""
-    print(f"error: {exc}; deleting the file makes the next run start cold",
-          file=sys.stderr)
+    if isinstance(exc.__cause__, OSError):  # missing or not a file
+        print(f"error: {exc}", file=sys.stderr)
+    else:
+        print(f"error: {exc}; deleting the file makes the next run start cold",
+              file=sys.stderr)
     return 2
 
 
@@ -643,12 +646,16 @@ def _cmd_replan(args) -> int:
         save_cache_file,
     )
     from repro.core.replan import replan
-    from repro.core.serialize import dump_plan, load_plan
+    from repro.core.serialize import PlanFormatError, dump_plan, load_plan
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
     spec = model_by_name(args.model)
-    plan = load_plan(args.plan)
+    try:
+        plan = load_plan(args.plan)
+    except PlanFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     pool = _parse_device_pool(args.device_pool)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     per_rank = plan.parallel.num_devices // plan.parallel.pipeline_parallel

@@ -22,19 +22,17 @@ quantity against each other:
    and the reference engine, 2BP strictly shrinking the bubble at equal
    peak memory, and fused-vs-explicit overlap lowering equivalence;
 10. adalint — the domain-aware static analysis pass over the installed
-    package (digest coverage, determinism, unit consistency, frozen
-    mutation, transform purity, float op order) must report zero
-    unsuppressed findings;
+    package (determinism, unit consistency, frozen mutation, transform
+    purity, float op order) must report zero unsuppressed findings;
 11. heterogeneous round trip — a homogeneous device pool must reproduce
     the poolless planner's plan bit-identically, and an elastic
     warm-started replan after a device leaves must select the same plan
     as a cold sweep on the shrunken pool while actually reusing cached
     stage evaluations;
 12. static-analysis contracts — the interprocedural lint families must
-    still *detect*: synthesized trees with a digest omission two calls
-    deep, an argument-mutating transform, and a reassociated lowering
-    expression each produce exactly the planted finding (and the
-    deep-delegating-but-complete digest tree stays clean).
+    still *detect*: synthesized trees with an argument-mutating transform
+    and a reassociated lowering expression each produce exactly the
+    planted finding.
 """
 
 from __future__ import annotations
@@ -474,17 +472,15 @@ def _check_static_contracts() -> CheckResult:
     """Detection power of the interprocedural lint families (check 12).
 
     Check 10 proves the shipped tree is *clean*; this check proves the
-    new rule families still *fire* — each invariant is broken in a
+    rule families still *fire* — each invariant is broken in a
     synthesized mini-tree and the corresponding rule must report exactly
-    the planted violation, plus one deep-delegation tree that must come
-    out clean (the v1 name-matcher would have false-positived on it).
+    the planted violation.
     """
     import tempfile
     from pathlib import Path
 
     from repro.analysis import run_lint
     from repro.analysis.rules import (
-        DigestCoverageRule,
         FloatOrderContract,
         FloatOrderRule,
         FloatSite,
@@ -496,72 +492,7 @@ def _check_static_contracts() -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
-        # 1. Digest coverage v2: link_hops dropped two calls deep must
-        # fire; the sibling tree reading it two calls deep must be clean
-        # (v1's single-function name match could not tell them apart).
-        tasks_src = (
-            "from dataclasses import dataclass\n"
-            "from typing import Tuple\n\n\n"
-            "@dataclass(frozen=True)\n"
-            "class TaskKey:\n"
-            "    stage: int\n\n\n"
-            "@dataclass(frozen=True)\n"
-            "class Task:\n"
-            "    key: TaskKey\n"
-            "    duration: float\n\n\n"
-            "@dataclass(frozen=True)\n"
-            "class Schedule:\n"
-            "    name: str\n"
-            "    num_micro_batches: int\n"
-            "    hop_time: float\n"
-            "    link_hops: Tuple[int, ...]\n"
-            "    tasks: Tuple[Task, ...]\n"
-        )
-
-        def digest_src(read_link_hops: bool) -> str:
-            link = (
-                "    parts.append(tuple(schedule.link_hops))\n"
-                if read_link_hops
-                else ""
-            )
-            return (
-                "from .tasks import Schedule, Task\n\n\n"
-                "def _task_parts(task: Task):\n"
-                "    return (task.key.stage, task.duration)\n\n\n"
-                "def _schedule_parts(schedule: Schedule):\n"
-                "    parts = [schedule.hop_time]\n"
-                f"{link}"
-                "    for task in schedule.tasks:\n"
-                "        parts.append(_task_parts(task))\n"
-                "    return tuple(parts)\n\n\n"
-                "def schedule_digest(schedule: Schedule) -> str:\n"
-                "    return str(hash(_schedule_parts(schedule)))\n"
-            )
-
-        for label, deep_read in (("omits", False), ("covers", True)):
-            base = root / f"digest_{label}" / "pipeline"
-            base.mkdir(parents=True, exist_ok=True)
-            (base / "tasks.py").write_text(tasks_src)
-            (base / "simulator.py").write_text(digest_src(deep_read))
-            result = run_lint(
-                [root / f"digest_{label}"], rules=[DigestCoverageRule()]
-            )
-            if deep_read:
-                if not result.ok:
-                    failures.append(
-                        "digest deep-read probe not clean: "
-                        f"{[f.message for f in result.findings]}"
-                    )
-            else:
-                if [
-                    "Schedule.link_hops" in f.message for f in result.findings
-                ] != [True]:
-                    failures.append(
-                        "digest omission probe: "
-                        f"{[f.message for f in result.findings]}"
-                    )
-
-        # 2. Purity: a transform mutating its argument one call deep.
+        # 1. Purity: a transform mutating its argument one call deep.
         (root / "purity").mkdir()
         (root / "purity" / "transforms.py").write_text(
             "def _stamp(out, values):\n"
@@ -581,7 +512,7 @@ def _check_static_contracts() -> CheckResult:
                 f"purity probe: {[f.message for f in result.findings]}"
             )
 
-        # 3. Float order: vector side applies delays before the factor.
+        # 2. Float order: vector side applies delays before the factor.
         (root / "floats").mkdir()
         (root / "floats" / "engines.py").write_text(
             "def scalar_lower(duration, factor, delay):\n"
@@ -630,8 +561,7 @@ def _check_static_contracts() -> CheckResult:
 
     ok = not failures
     detail = (
-        "digest-v2 (fire + deep-read clean), purity, float-order probes "
-        "all detect"
+        "purity and float-order probes both detect"
         if ok
         else "; ".join(failures)
     )

@@ -11,6 +11,7 @@ workspaces, fragmentation).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
@@ -60,8 +61,10 @@ class DeviceSpec:
     slowdown: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.slowdown <= 0:
-            raise ValueError(f"device slowdown must be > 0, got {self.slowdown}")
+        if not (math.isfinite(self.slowdown) and self.slowdown > 0):
+            raise ValueError(
+                f"device slowdown must be finite and > 0, got {self.slowdown}"
+            )
 
     @property
     def usable_memory_bytes(self) -> int:

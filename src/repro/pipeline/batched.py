@@ -45,12 +45,12 @@ what robust sweeps key their batches by).
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.content import content_digest
 from repro.pipeline.compiled import CompiledSchedule
 from repro.pipeline.perturb import jitter_multiplier
 from repro.pipeline.tasks import Schedule
@@ -70,44 +70,25 @@ _JITTER_MEMO_LIMIT = 1024
 def shape_digest(compiled: CompiledSchedule) -> str:
     """Digest of everything the batched executor lowers — except durations.
 
-    Two schedules with equal shape digests share task identities, device
-    assignment, dependency structure, per-device order, hop time and link
+    :func:`repro.content.content_digest` with ``shape=True``: every field
+    of the schedule, its tasks and their keys except those declared
+    ``omit`` or ``shape_free`` — task durations, activation bytes and
+    weights, and the per-device static and buffer bytes. Two schedules
+    with equal shape digests share task identities, devices, dependency
+    structure, per-device order, overlap windows, hop time and link
     overrides, so one :class:`BatchedSchedule` built from either executes
     duration vectors of both (and their spec lowerings — factors, stall
-    delays, jitter vectors — coincide). Per-task ``overlap`` windows are
-    *included*: they are folded into the lowered edge addends, so two
-    schedules differing only in overlap must not share a lowering. Task
-    durations, activation bytes and weights are deliberately excluded:
-    none of them affect the execution plan or the iteration-time
-    recurrence.
+    delays, jitter vectors — coincide).
 
     This digest keys *batch grouping only*; result caching uses the full
     content digests (``schedule.digest()`` × spec) — see
     ``repro.core.robust.ensemble_digest``.
     """
     cached = getattr(compiled, "_shape_digest", None)
-    if cached is not None:
-        return cached
-    schedule = compiled.schedule
-    hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(f"batch-shape-v2|{schedule.num_devices}|{schedule.hop_time!r}".encode())
-    for pair, hop in sorted((schedule.link_hops or {}).items()):
-        hasher.update(f"|L{pair[0]}>{pair[1]}:{hop!r}".encode())
-    for device, tasks in enumerate(schedule.device_tasks):
-        hasher.update(f"|d{device}:{len(tasks)}".encode())
-        for task in tasks:
-            key = task.key
-            hasher.update(
-                f"|t{key.pipe},{key.stage},{key.micro_batch},{key.kind.value}"
-                f",{task.overlap!r}".encode()
-            )
-            for dep in task.deps:
-                hasher.update(
-                    f"<{dep.pipe},{dep.stage},{dep.micro_batch},{dep.kind.value}".encode()
-                )
-    digest = hasher.hexdigest()
-    compiled._shape_digest = digest  # type: ignore[attr-defined]  # per-instance memo
-    return digest
+    if cached is None:
+        cached = content_digest(compiled.schedule, shape=True)
+        compiled._shape_digest = cached  # type: ignore[attr-defined]  # per-instance memo
+    return cached
 
 
 class BatchedSchedule:

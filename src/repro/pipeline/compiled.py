@@ -273,18 +273,24 @@ def compile_schedule(schedule: Schedule) -> CompiledSchedule:
 
     Raises:
         ValueError: on duplicate task keys (matching ``Schedule.task_map``),
-            on a nonzero ``activation_bytes`` on any non-forward task (the
-            forward carries the pinned bytes — see ``Task``), or on a
-            negative ``overlap``.
+            on a task whose ``device`` is not the index of the list that
+            holds it (the reference engine rejects it too), on a nonzero
+            ``activation_bytes`` on any non-forward task (the forward
+            carries the pinned bytes — see ``Task``), or on a negative
+            ``overlap``.
         SimulationError: when a task depends on a key absent from the
             schedule.
     """
     tasks: List[Task] = []
     index: Dict[TaskKey, int] = {}
-    for device_list in schedule.device_tasks:
+    for listed, device_list in enumerate(schedule.device_tasks):
         for task in device_list:
             if task.key in index:
                 raise ValueError(f"duplicate task {task.key}")
+            if task.device != listed:
+                raise ValueError(
+                    f"{task.key}: device {task.device} but listed under device {listed}"
+                )
             index[task.key] = len(tasks)
             tasks.append(task)
 

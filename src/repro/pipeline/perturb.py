@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
+from repro.content import content_digest
 from repro.pipeline.tasks import Schedule, TaskKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -84,8 +85,8 @@ class TransientStall:
     length: int = 1
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"stall delay must be >= 0, got {self.delay}")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(f"stall delay must be finite and >= 0, got {self.delay}")
         if self.first_task < 0 or self.length < 1:
             raise ValueError("stall window must be non-empty and start at >= 0")
 
@@ -110,11 +111,11 @@ class LinkDegradation:
     added_latency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError(f"link factor must be >= 0, got {self.factor}")
-        if self.added_latency < 0:
+        if not (math.isfinite(self.factor) and self.factor >= 0):
+            raise ValueError(f"link factor must be finite and >= 0, got {self.factor}")
+        if not (math.isfinite(self.added_latency) and self.added_latency >= 0):
             raise ValueError(
-                f"link added latency must be >= 0, got {self.added_latency}"
+                f"link added_latency must be finite and >= 0, got {self.added_latency}"
             )
 
 
@@ -140,12 +141,15 @@ class PerturbationSpec:
     links: Tuple[LinkDegradation, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.jitter_sigma < 0:
-            raise ValueError(f"jitter sigma must be >= 0, got {self.jitter_sigma}")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValueError(
+                f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}"
+            )
         for device, factor in self.device_factors:
-            if factor <= 0:
+            if not (math.isfinite(factor) and factor > 0):
                 raise ValueError(
-                    f"device {device} slowdown factor must be > 0, got {factor}"
+                    f"device_factors: device {device} factor must be finite "
+                    f"and > 0, got {factor}"
                 )
 
     @classmethod
@@ -196,18 +200,8 @@ class PerturbationSpec:
         )
 
     def content_digest(self) -> str:
-        """Stable digest of everything that moves a perturbed number."""
-        parts = [f"perturb-v1|{self.jitter_sigma!r}|{self.seed}"]
-        parts.extend(f"d{d}:{f!r}" for d, f in self.device_factors)
-        parts.extend(
-            f"s{s.device}:{s.delay!r}:{s.first_task}:{s.length}"
-            for s in self.stalls
-        )
-        parts.extend(
-            f"l{link.src}>{link.dst}:{link.factor!r}:{link.added_latency!r}"
-            for link in self.links
-        )
-        return hashlib.blake2b("|".join(parts).encode(), digest_size=16).hexdigest()
+        """Stable digest of every field, stalls and links included."""
+        return content_digest(self)
 
     def reseeded(self, offset: int) -> "PerturbationSpec":
         """The same spec with its jitter seed shifted — one ensemble draw."""

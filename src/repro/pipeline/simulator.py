@@ -42,12 +42,12 @@ class backs the whole-ensemble cache of ``repro.core.robust``, and
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar, Union
 
+from repro.content import content_digest
 from repro.pipeline.batched import batched_simulator
 from repro.pipeline.compiled import SimulationError, deadlock_message
 from repro.pipeline.tasks import RELEASE_KINDS, Schedule, Task, TaskKey, TaskKind
@@ -126,47 +126,24 @@ class SimulationResult:
 def schedule_digest(schedule: Schedule) -> str:
     """Content digest of everything that determines a simulation's numbers.
 
-    Covers devices, hop time, per-link hop overrides, per-device
-    static/buffer bytes and every task's identity, device, duration,
-    activation bytes, weight, overlap window, and dependencies. The
-    schedule ``name`` and ``num_micro_batches`` are deliberately excluded — they label the
-    schedule but do not move any simulated quantity, so e.g. a relabelled
-    1F1B schedule replays a cached result. Memoized per instance via
-    :meth:`Schedule.digest`.
+    :func:`repro.content.content_digest` over the schedule's fields, its
+    tasks' and their keys', so a new field is covered without an edit
+    here. Only the fields declared ``omit`` on :class:`Schedule` are left
+    out — ``name`` and ``num_micro_batches``, which label the schedule but
+    move no simulated number, so e.g. a relabelled 1F1B schedule replays
+    a cached result. Memoized per instance via :meth:`Schedule.digest`.
 
-    The ``link_hops`` coverage is load-bearing for perturbation injection
-    (:mod:`repro.pipeline.perturb`): a link-degraded schedule is
-    structurally identical to its nominal twin — same tasks, durations and
-    edges — so without it the cache would serve a nominal result to a
-    perturbed run (and vice versa). An empty/absent mapping digests like
-    no mapping at all, since the two simulate identically.
+    The digest reads the source fields, not the lowered arrays: the
+    lowering folds ``hop_time - overlap`` into one edge addend, yet the
+    robust path reads ``overlap`` and the hop separately, so two schedules
+    with equal addends can still answer differently under a degraded
+    link. The ``link_hops`` coverage is load-bearing for perturbation
+    injection (:mod:`repro.pipeline.perturb`): a link-degraded schedule
+    has the same tasks, durations and edges as its nominal twin. An
+    empty mapping digests like no mapping at all, since the two simulate
+    identically.
     """
-    parts: List[str] = [
-        f"sim-v2|{schedule.num_devices}|{schedule.hop_time!r}",
-        repr(schedule.device_static_bytes),
-        repr(schedule.device_buffer_bytes),
-    ]
-    if schedule.link_hops:
-        parts.append(
-            "links:" + ";".join(
-                f"{src}>{dst}:{hop!r}"
-                for (src, dst), hop in sorted(schedule.link_hops.items())
-            )
-        )
-    append = parts.append
-    for tasks in schedule.device_tasks:
-        append("|device")
-        for task in tasks:
-            k = task.key
-            append(
-                f"{k.pipe},{k.stage},{k.micro_batch},{k.kind.value},"
-                f"{task.device},{task.duration!r},{task.activation_bytes!r},"
-                f"{task.weight},{task.overlap!r}"
-            )
-            for dep in task.deps:
-                append(f"<{dep.pipe},{dep.stage},{dep.micro_batch},{dep.kind.value}")
-    digest = hashlib.blake2b("\n".join(parts).encode(), digest_size=16)
-    return digest.hexdigest()
+    return content_digest(schedule)
 
 
 class SimulationCache(Generic[V]):
@@ -347,6 +324,12 @@ def simulate_reference(schedule: Schedule) -> SimulationResult:
     scheduling semantics. :func:`simulate` must match it bit-for-bit.
     """
     task_map = schedule.task_map()
+    for index, tasks in enumerate(schedule.device_tasks):
+        for task in tasks:
+            if task.device != index:
+                raise ValueError(
+                    f"{task.key}: device {task.device} but listed under device {index}"
+                )
     for task in task_map.values():
         for dep in task.deps:
             if dep not in task_map:

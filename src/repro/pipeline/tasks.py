@@ -13,8 +13,10 @@ on dependencies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.content import omit, shape_free
 
 
 class TaskKind(enum.Enum):
@@ -120,10 +122,16 @@ class Task:
 
     key: TaskKey
     device: int
-    duration: float
+    duration: float = field(metadata=shape_free(
+        "a duration row of the lowered DAG, not its structure"
+    ))
     deps: Tuple[TaskKey, ...] = ()
-    activation_bytes: float = 0.0
-    weight: int = 1
+    activation_bytes: float = field(default=0.0, metadata=shape_free(
+        "memory accounting only; no start or finish time reads it"
+    ))
+    weight: int = field(default=1, metadata=shape_free(
+        "a useful-work count; no start or finish time reads it"
+    ))
     overlap: float = 0.0
 
 
@@ -166,13 +174,23 @@ class Schedule:
             absent from the mapping use ``hop_time``.
     """
 
-    name: str
+    name: str = field(metadata=omit(
+        "a policy label: no simulated number reads it, so a relabelled "
+        "schedule replays a cached result"
+    ))
     num_devices: int
     device_tasks: List[List[Task]]
     hop_time: float = 0.0
-    device_static_bytes: Optional[List[float]] = None
-    device_buffer_bytes: Optional[List[float]] = None
-    num_micro_batches: int = 0
+    device_static_bytes: Optional[List[float]] = field(default=None, metadata=shape_free(
+        "memory accounting only; no start or finish time reads it"
+    ))
+    device_buffer_bytes: Optional[List[float]] = field(default=None, metadata=shape_free(
+        "memory accounting only; no start or finish time reads it"
+    ))
+    num_micro_batches: int = field(default=0, metadata=omit(
+        "redundant: the tasks carry every micro-batch, so two schedules "
+        "differing only here simulate identically"
+    ))
     link_hops: Optional[Dict[Tuple[int, int], float]] = None
 
     def hop_for(self, src_device: int, dst_device: int) -> float:
@@ -220,8 +238,9 @@ class Schedule:
         return cached
 
     def validate(self) -> None:
-        """Check structural sanity: unique keys, resolvable dependencies,
-        and the per-kind completeness contract — every forward has a
+        """Check structural sanity: unique keys, every task listed under
+        its own device, resolvable dependencies, and the per-kind
+        completeness contract — every forward has a
         complete set of same-device backward twins (a plain backward, or a
         grad-input/grad-weight pair, never both) and every auxiliary task
         (recompute, backward halves) has its forward. Violations are

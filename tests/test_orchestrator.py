@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ParallelConfig
 from repro.core.isomorphism import (
     PRIVATE_FINGERPRINT,
     RANGE_KEY_FIELDS,
@@ -36,7 +35,6 @@ from repro.core.orchestrator import (
     SweepProgress,
     _ROW_COLUMNS,
     _WorkerInit,
-    _atomic_write_json,
     checkpoint_from_dict,
     checkpoint_to_dict,
     load_cache_file,
@@ -49,7 +47,12 @@ from repro.core.orchestrator import (
     sweep_fingerprint,
 )
 from repro.core.search import PlannerContext, enumerate_parallel_strategies
-from repro.core.serialize import plan_signature
+from repro.core.serialize import (
+    atomic_write_json,
+    dump_plan,
+    load_plan,
+    plan_signature,
+)
 from repro.core.sweep import SweepConfig, run_sweep, strategy_lower_bound
 from repro.experiments.cli import main as cli_main
 from repro.hardware.cluster import cluster_a
@@ -600,7 +603,7 @@ class TestFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# Cache file format v2: a fingerprint table, flat rows, checks on load
+# Cache file format v3: a fingerprint table, flat rows, checks on load
 # ---------------------------------------------------------------------------
 
 _FINGERPRINT = ("DeviceSpec(name='A100-80GB', ...)", 600e9, 8, 1, 0.0, None)
@@ -756,16 +759,21 @@ class TestCacheFileFormat:
         path = tmp_path / "evals.json"
         _write_cache_file(path)
         document = json.loads(path.read_text())
-        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 2
+        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 3
         assert document["fingerprints"] == [list(_FINGERPRINT)]
         feasible, infeasible = document["rows"]
         assert len(feasible) == len(_ROW_COLUMNS)
         assert feasible[: 1 + len(RANGE_KEY_FIELDS)] == [
             0, 2, True, False, 1, 1, 1.0, 8.0e9
         ]
-        assert feasible[-1] == [["attn.qkv", 2], ["ffn.fc1", 1]]
+        # The value columns are the StageEval fields in order, with
+        # memory expanded into the StageMemory fields.
+        assert feasible[1 + len(RANGE_KEY_FIELDS):] == [
+            True, 1.5, 3.0, [["attn.qkv", 2], ["ffn.fc1", 1]], 1024.0,
+            4096.0, 512.0, 1024.0, 2,
+        ]
         assert infeasible[_ROW_COLUMNS.index("backward")] == float("inf")
-        assert infeasible[-1] == []
+        assert infeasible[_ROW_COLUMNS.index("saved_unit_counts")] == []
 
     @pytest.mark.parametrize("row, column, value, want", _BAD_CELLS)
     def test_bad_value_names_row_and_column(self, tmp_path, row, column, value, want):
@@ -853,7 +861,7 @@ class TestCacheFileFormat:
         _write_cache_file(path)
         before = path.read_text()
         with pytest.raises(TypeError):
-            _atomic_write_json({"rows": [object()]}, str(path))
+            atomic_write_json({"rows": [object()]}, str(path))
         assert path.read_text() == before
         assert not (tmp_path / "evals.json.tmp").exists()
 
@@ -882,15 +890,56 @@ class TestCacheFileCli:
         assert len(loaded) == 2 and int(loaded[1]) > 0
 
         old = tmp_path / "old.json"
-        old.write_text(json.dumps({"format_version": 1, "entries": []}))
-        for argv in (
-            [*replan[:-4], "--cache", str(old), "--memory-limit-gib", "8"],
-            [*self.PLAN, "--sweep-cache", str(old)],
-            [*self.PLAN, "--sweep-resume", str(old)],
+        for document in (
+            {"format_version": 1, "entries": []},
+            {"format_version": 2, "fingerprints": [], "rows": []},
+        ):
+            old.write_text(json.dumps(document))
+            for argv in (
+                [*replan[:-4], "--cache", str(old), "--memory-limit-gib", "8"],
+                [*self.PLAN, "--sweep-cache", str(old)],
+                [*self.PLAN, "--sweep-resume", str(old)],
+            ):
+                assert cli_main(argv) == 2
+                err = capsys.readouterr().err.strip()
+                assert "\n" not in err
+                assert err.startswith(f"error: {old}: unsupported ")
+                assert f"version {document['format_version']} (want 3)" in err
+                assert "deleting the file makes the next run start cold" in err
+
+    def test_unreadable_plan_cache_and_checkpoint_files_exit_2(self, tmp_path, capsys):
+        """Typed errors, exit 2 and one line; plan writes are atomic."""
+        plan = str(tmp_path / "plan.json")
+        assert cli_main([*self.PLAN, "--output", plan]) == 0
+        text = open(plan).read()
+        truncated = tmp_path / "cut.json"
+        truncated.write_text(text[: len(text) // 2])
+        version0 = tmp_path / "v0.json"
+        version0.write_text(json.dumps({**json.loads(text), "format_version": 0}))
+        missing = str(tmp_path / "missing.json")
+
+        def replan(plan_path, *extra):
+            return [
+                "replan", "--plan", plan_path, "--model", "bert-large",
+                "--device-pool", "a100:2", "--memory-limit-gib", "8", *extra,
+            ]
+
+        for argv, reason in (
+            (replan(str(truncated)), f"{truncated}: not valid JSON"),
+            (replan(str(version0)), "unsupported plan format version 0"),
+            (replan(missing), f"{missing}: cannot read"),
+            (replan(plan, "--cache", str(tmp_path)), f"{tmp_path}: cannot read"),
+            ([*self.PLAN, "--sweep-resume", missing], f"{missing}: cannot read"),
         ):
             assert cli_main(argv) == 2
             err = capsys.readouterr().err.strip()
             assert "\n" not in err
-            assert err.startswith(f"error: {old}: unsupported ")
-            assert "version 1 (want 2)" in err
-            assert "deleting the file makes the next run start cold" in err
+            assert err.startswith("error: ") and reason in err
+            # Nothing to delete: the advice is for files that exist.
+            assert "deleting the file" not in err
+
+        # Plans are encoded in full before a temp file is written.
+        with pytest.raises(TypeError):
+            dump_plan(load_plan(plan).with_metadata(handle=object()), plan)
+        assert open(plan).read() == text
+        assert not os.path.exists(f"{plan}.tmp")

@@ -9,6 +9,7 @@ digest (cache soundness).
 
 import pytest
 
+from repro.hardware.device import a100_80gb, derated
 from repro.pipeline.perturb import (
     LinkDegradation,
     PerturbationSpec,
@@ -19,6 +20,8 @@ from repro.pipeline.perturb import (
 from repro.pipeline.schedules import one_f_one_b_schedule
 from repro.pipeline.simulator import schedule_digest, simulate
 from repro.pipeline.tasks import StageCosts, TaskKey, TaskKind
+
+NAN, INF = float("nan"), float("inf")
 
 
 def _schedule(p=3, n=4, hop=0.25):
@@ -77,6 +80,25 @@ class TestSpecConstruction:
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    @pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: PerturbationSpec.build({0: v}), "device_factors"),
+            (lambda v: PerturbationSpec.build([1.0, v]), "device_factors"),
+            (lambda v: PerturbationSpec.build(jitter_sigma=v), "jitter_sigma"),
+            (lambda v: TransientStall(0, v), "delay"),
+            (lambda v: LinkDegradation(0, 1, v), "factor"),
+            (lambda v: LinkDegradation(0, 1, 1.0, v), "added_latency"),
+            (lambda v: derated(a100_80gb(), v), "slowdown"),
+        ],
+        ids=["factor-map", "factor-seq", "sigma", "stall", "link-factor",
+             "link-latency", "derated"],
+    )
+    def test_non_finite_inputs_rejected_naming_the_field(self, make, field, value):
+        with pytest.raises(ValueError, match=f"{field}.*must be finite"):
+            make(value)
 
     def test_content_digest_separates_specs(self):
         specs = [

@@ -152,6 +152,27 @@ class TestErrorHandling:
         with pytest.raises(SimulationError, match="missing"):
             _simulate(schedule, engine)
 
+    def test_task_listed_under_another_device_rejected(self, engine):
+        # Every task says device 1, but f0 and b0 sit in device 0's list.
+        # Unchecked, the engines disagreed (6.0 s vs 6.5 s, different
+        # peaks); both must name the task, its device and the list.
+        def pair(m, act):
+            f = TaskKey(0, 0, m, TaskKind.FORWARD)
+            b = TaskKey(0, 0, m, TaskKind.BACKWARD)
+            return [
+                Task(key=f, device=1, duration=1.0, activation_bytes=act),
+                Task(key=b, device=1, duration=2.0, deps=(f,)),
+            ]
+
+        schedule = Schedule(
+            name="misplaced", num_devices=2,
+            device_tasks=[pair(0, 10.0), pair(1, 5.0)], hop_time=0.5,
+        )
+        with pytest.raises(
+            ValueError, match=r"F\(p0,s0,m0\): device 1 but listed under device 0"
+        ):
+            _ENGINES[engine](schedule)
+
     def test_empty_schedule(self, engine):
         schedule = Schedule(name="empty", num_devices=1, device_tasks=[[]])
         result = _simulate(schedule, engine)
