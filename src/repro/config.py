@@ -14,11 +14,32 @@ search engine and the isomorphism cache.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from typing import Type
 
 
 class ConfigError(ValueError):
     """Raised when a configuration is internally inconsistent."""
+
+
+def require_non_negative(
+    name: str,
+    value: float,
+    allow_inf: bool = False,
+    error: Type[ValueError] = ValueError,
+) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a number >= 0.
+
+    NaN and negative values always fail; ``inf`` fails unless
+    ``allow_inf`` (infeasible stage evaluations carry an infinite backward
+    time). This is the one range check for measured or decoded times and
+    byte counts, so a bad number stops where it enters.
+    """
+    if value >= 0 and (allow_inf or value != math.inf):  # NaN fails ``>= 0``
+        return
+    want = "a non-negative number" if allow_inf else "a finite non-negative number"
+    raise error(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)

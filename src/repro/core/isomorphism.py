@@ -6,7 +6,10 @@ and sub-sequence, which naively means O(pL^2) inner-DP runs. But transformer
 layer sequences are homogeneous: two sub-sequences with the same layer-kind
 multiset (same Attention/FFN counts, same embedding/head membership) are
 isomorphic and share one inner-DP solution. Caching on that key reduces the
-inner-DP invocations to O(pL), as the paper observes.
+inner-DP invocations to O(pL), as the paper observes. A class is priced
+from its kind counts alone — count times a per-kind total, summed in a
+fixed kind order — so it costs O(kinds) plus the knapsack, and every
+member of a class gets the same bits whatever its layer order.
 
 The same observation extends *across* evaluators: two strategies whose
 profiles agree (same model, workload, cluster, tensor- and data-parallel
@@ -20,6 +23,8 @@ strategy — reuse inner-DP solutions instead of recomputing them per
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -308,18 +313,29 @@ class StageEvaluator:
         self.inner_dp_invocations = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        # Prefix sums for O(1) kind counts and parameter sums.
-        self._att_prefix = [0]
-        self._ffn_prefix = [0]
-        self._param_prefix = [0]
-        for layer in self.layers:
-            self._att_prefix.append(
-                self._att_prefix[-1] + (layer.kind == LayerKind.ATTENTION)
+        # Prefix counts per layer kind and prefix parameter sums: a range's
+        # kind counts and parameters are O(1) differences. Kinds are kept
+        # in value order, the order a stage's per-kind totals are summed
+        # and its knapsack items listed in.
+        prefixes: Dict[LayerKind, List[int]] = {}
+        for kind in sorted(LayerKind, key=lambda kind: kind.value):
+            prefixes[kind] = list(
+                itertools.accumulate(
+                    (layer.kind == kind for layer in self.layers), initial=0
+                )
             )
-            self._ffn_prefix.append(
-                self._ffn_prefix[-1] + (layer.kind == LayerKind.FFN)
-            )
-            self._param_prefix.append(self._param_prefix[-1] + layer.params)
+        self._kind_prefix = [
+            (kind, prefix) for kind, prefix in prefixes.items() if prefix[-1]
+        ]
+        self._att_prefix = prefixes[LayerKind.ATTENTION]
+        self._ffn_prefix = prefixes[LayerKind.FFN]
+        self._param_prefix = list(
+            itertools.accumulate((layer.params for layer in self.layers), initial=0)
+        )
+        self._last = len(self.layers) - 1
+        # Per stage, the key terms no layer range changes: (in-flight
+        # count, rank scale, rank capacity). Filled on a stage's first key.
+        self._stage_terms: Dict[int, Tuple[int, float, float]] = {}
 
     @property
     def num_layers(self) -> int:
@@ -337,6 +353,15 @@ class StageEvaluator:
             return self.rank_capacities[stage]
         return self.capacity_bytes
 
+    def _new_stage_terms(self, stage: int) -> Tuple[int, float, float]:
+        terms = (
+            self.memory_model.in_flight(stage),
+            self._rank_scale(stage),
+            float(self._rank_capacity(stage)),
+        )
+        self._stage_terms[stage] = terms
+        return terms
+
     def _key(self, stage: int, i: int, j: int) -> Tuple:
         # Builds the RANGE_KEY_FIELDS, in that order. The stage index
         # (and the memory model's schedule kind) only
@@ -347,14 +372,19 @@ class StageEvaluator:
         # the key: two placements putting different parts on the same
         # stage must never alias, and a drifted slowdown must invalidate
         # the old entry rather than silently reuse it.
+        in_flight, scale, capacity = (
+            self._stage_terms.get(stage) or self._new_stage_terms(stage)
+        )
+        att = self._att_prefix
+        ffn = self._ffn_prefix
         return (
-            self.memory_model.in_flight(stage),
+            in_flight,
             i == 0,
-            j == self.num_layers - 1,
-            self._att_prefix[j + 1] - self._att_prefix[i],
-            self._ffn_prefix[j + 1] - self._ffn_prefix[i],
-            self._rank_scale(stage),
-            float(self._rank_capacity(stage)),
+            j == self._last,
+            att[j + 1] - att[i],
+            ffn[j + 1] - ffn[i],
+            scale,
+            capacity,
         )
 
     def evaluate(self, stage: int, i: int, j: int) -> StageEval:
@@ -371,68 +401,70 @@ class StageEvaluator:
                 self._cache[key] = shared
                 return shared
         self.cache_misses += 1
-        cached = self._evaluate_uncached(stage, i, j)
+        cached = self._evaluate_uncached(key, i, j)
         self._cache[key] = cached
         if self.shared_cache is not None:
             self.shared_cache.put(self._fingerprint + key, cached)
         return cached
 
-    def _evaluate_uncached(self, stage: int, i: int, j: int) -> StageEval:
+    @functools.cached_property
+    def _buffer_bytes(self) -> float:
+        return self.memory_model.recompute_buffer_bytes()
+
+    def _evaluate_uncached(self, key: Tuple, i: int, j: int) -> StageEval:
+        """Price the class of ``key``: each layer kind's count times its totals.
+
+        Totals come from :class:`~repro.profiler.profiler.LayerProfile`,
+        computed once per kind, and are summed in kind order, so every
+        member of an isomorphism class gets the same bits whatever its
+        layer order. ``i..j`` supplies only the counts of the kinds the key
+        does not carry and the parameter sum.
+        """
         self.inner_dp_invocations += 1
-        # Accumulate in kind-grouped order so every member of an
-        # isomorphism class yields bit-identical sums: the cache key is a
-        # kind *multiset*, but FP addition is order-sensitive, so summing
-        # an [ATT, FFN, ATT] slice interleaved vs a [FFN, ATT, ATT] slice
-        # would make the class value depend on which slice was visited
-        # first (and a warm-started cache would differ from a cold one by
-        # ULPs). Stable-sorting by kind makes the representative canonical.
-        stage_layers = sorted(
-            self.layers[i : j + 1], key=lambda layer: layer.kind.value
-        )
-        in_flight = self.memory_model.in_flight(stage)
+        in_flight, _, _, _, _, scale, capacity = key
 
         forward = 0.0
         backward_fixed = 0.0
         always_bytes = 0.0
+        optional_total_value = 0.0
         always_counts: Dict[str, int] = {}
         optional: Dict[str, UnitItem] = {}
-        optional_total_value = 0.0
-
-        for layer in stage_layers:
-            profile: LayerProfile = self.profiler.profile_layer(layer.kind)
-            for unit in profile.units:
-                forward += unit.time_forward
-                backward_fixed += unit.time_backward
-                if unit.always_saved:
-                    always_bytes += unit.saved_bytes
-                    always_counts[unit.name] = always_counts.get(unit.name, 0) + 1
+        for kind, prefix in self._kind_prefix:
+            count = prefix[j + 1] - prefix[i]
+            if not count:
+                continue
+            profile: LayerProfile = self.profiler.profile_layer(kind)
+            forward += count * profile.time_forward
+            backward_fixed += count * profile.time_backward
+            always_bytes += count * profile.saved_bytes_always
+            optional_total_value += count * profile.full_recompute_extra
+            for name, copies in profile.always_saved_counts:
+                always_counts[name] = always_counts.get(name, 0) + count * copies
+            for unit, copies in profile.optional_units:
+                existing = optional.get(unit.name)
+                if existing is None:
+                    optional[unit.name] = UnitItem(
+                        name=unit.name,
+                        value=unit.time_forward,
+                        weight_bytes=unit.saved_bytes,
+                        copies=count * copies,
+                    )
                 else:
-                    optional_total_value += unit.time_forward
-                    existing = optional.get(unit.name)
-                    if existing is None:
-                        optional[unit.name] = UnitItem(
-                            name=unit.name,
-                            value=unit.time_forward,
-                            weight_bytes=unit.saved_bytes,
-                            copies=1,
-                        )
-                    else:
-                        optional[unit.name] = UnitItem(
-                            name=existing.name,
-                            value=existing.value,
-                            weight_bytes=existing.weight_bytes,
-                            copies=existing.copies + 1,
-                        )
+                    optional[unit.name] = UnitItem(
+                        name=existing.name,
+                        value=existing.value,
+                        weight_bytes=existing.weight_bytes,
+                        copies=existing.copies + count * copies,
+                    )
 
-        static = self.memory_model.static_bytes(stage_layers)
-        buffer = self.memory_model.recompute_buffer_bytes()
-        budget = (
-            self._rank_capacity(stage) - static - buffer - in_flight * always_bytes
+        static = self.memory_model.static_bytes_of_params(
+            self._param_prefix[j + 1] - self._param_prefix[i]
         )
+        buffer = self._buffer_bytes
+        budget = capacity - static - buffer - in_flight * always_bytes
         result: RecomputeResult = optimize_stage_recompute(
             list(optional.values()), budget, in_flight
         )
-        scale = self._rank_scale(stage)
         if not result.feasible:
             return StageEval(
                 feasible=False,

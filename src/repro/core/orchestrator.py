@@ -93,8 +93,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, no cycle
 #: pickled to workers) or the name of a method in the baselines registry.
 PlannerRef = Union[str, Callable[[PlannerContext], PipelinePlan]]
 
-CHECKPOINT_FORMAT_VERSION = 3
-CACHE_FILE_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
+CACHE_FILE_FORMAT_VERSION = 4
 
 #: How long the coordinator waits on the result queue before checking
 #: worker liveness (a worker killed by the OOM killer would otherwise
@@ -398,10 +398,19 @@ def _load_json_file(path: str, decode: Callable[[Dict], _T]) -> _T:
         raise CheckpointError(f"{path}: {exc}") from exc
 
 
+def _write_json_file(document: Dict, path: str) -> None:
+    """Write one JSON document atomically; a path that cannot be written
+    (a directory, a missing parent) raises :class:`CheckpointError`."""
+    try:
+        atomic_write_json(document, path)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot write: {exc}") from exc
+
+
 def save_cache_file(cache: StageEvalCache, path: str) -> int:
     """Persist a cache's shareable entries for cross-run warm starts."""
     entries = cache.export_entries()
-    atomic_write_json(
+    _write_json_file(
         {"format_version": CACHE_FILE_FORMAT_VERSION, **_encode_entries(entries)},
         path,
     )
@@ -518,7 +527,7 @@ def checkpoint_from_dict(data: Dict) -> SweepCheckpoint:
 
 def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
     """Atomically write a checkpoint file."""
-    atomic_write_json(checkpoint_to_dict(checkpoint), path)
+    _write_json_file(checkpoint_to_dict(checkpoint), path)
 
 
 def load_checkpoint(path: str) -> SweepCheckpoint:

@@ -10,10 +10,13 @@ replayed.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import operator
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
+from repro.config import require_non_negative
 from repro.content import CodecError, from_json, to_json
 from repro.core.plan import PipelinePlan
 
@@ -67,8 +70,43 @@ def plan_signature(plan: PipelinePlan) -> Dict[str, Any]:
     return document
 
 
+#: The numbers of each stage that :func:`validate_plan` range-checks, as
+#: attribute paths below ``stages[k]``.
+_STAGE_NUMBERS: Tuple[str, ...] = (
+    "forward_time",
+    "backward_time",
+    "memory.static_bytes",
+    "memory.buffer_bytes",
+    "memory.saved_per_microbatch",
+)
+
+
+def _check_numbers(plan: PipelinePlan) -> None:
+    """Reject a NaN or negative time or byte count, and an infinite one in a
+    feasible plan, naming its dotted path."""
+    allow_inf = not plan.feasible  # an infeasible stage's backward is inf
+    if plan.modeled_iteration_time is not None:
+        require_non_negative(
+            "modeled_iteration_time",
+            plan.modeled_iteration_time,
+            allow_inf=allow_inf,
+            error=PlanFormatError,
+        )
+    for index, stage in enumerate(plan.stages):
+        for path in _STAGE_NUMBERS:
+            require_non_negative(
+                f"stages[{index}].{path}",
+                operator.attrgetter(path)(stage),
+                allow_inf=allow_inf,
+                error=PlanFormatError,
+            )
+
+
 def validate_plan(plan: PipelinePlan) -> None:
-    """Structural checks: contiguous stage coverage, consistent indices."""
+    """Structural and range checks: contiguous stage coverage, consistent
+    indices, and times and byte counts that are numbers >= 0 (``inf``
+    only in an infeasible plan)."""
+    _check_numbers(plan)
     if not plan.stages:
         # Stage-less documents encode "no valid partition exists" (e.g.
         # more stages than layers); they are only legal when infeasible.
@@ -100,15 +138,21 @@ def atomic_write_json(document: Dict[str, Any], path: str, indent: Optional[int]
 
     Encoding before the temp file opens means an unencodable document
     leaves no partial file; the rename means a kill mid-write never
-    corrupts the previous one. Without ``indent``, ``json.dumps`` runs
+    corrupts the previous one. A failed write or rename removes
+    ``PATH.tmp`` and re-raises. Without ``indent``, ``json.dumps`` runs
     the C encoder.
     """
     text = json.dumps(document, indent=indent, sort_keys=True)
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def dump_plan(plan: PipelinePlan, path: str) -> None:

@@ -702,7 +702,10 @@ def _cmd_replan(args) -> int:
     )
     print(f"sweep: {result.sweep.stats.describe()}")
     if args.cache:
-        saved = save_cache_file(cache, args.cache)
+        try:
+            saved = save_cache_file(cache, args.cache)
+        except CheckpointError as exc:
+            return _unusable_file(exc)
         print(f"evaluation cache ({saved} entries) rewritten to {args.cache}")
     if args.output:
         dump_plan(result.best, args.output)

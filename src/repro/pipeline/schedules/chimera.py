@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from repro.config import ConfigError
+from repro.config import ConfigError, require_non_negative
 from repro.pipeline.tasks import Schedule, StageCosts, Task, TaskKey, TaskKind
 
 #: Rank of a stream with nothing to dispatch. Ranks order by earliest
@@ -63,9 +63,14 @@ def chimera_schedule(
     # The list scheduler's stream-order argument needs non-negative
     # durations; inf stays legal (infeasible stage evaluations carry it).
     for stage, costs in enumerate(stage_costs):
-        _require_non_negative(f"stage {stage} forward", costs.forward)
-        _require_non_negative(f"stage {stage} backward", costs.backward)
-    _require_non_negative("hop_time", hop_time)
+        for name in ("forward", "backward"):
+            require_non_negative(
+                f"Chimera stage {stage} {name}",
+                getattr(costs, name),
+                allow_inf=True,
+                error=ConfigError,
+            )
+    require_non_negative("Chimera hop_time", hop_time, allow_inf=True, error=ConfigError)
     weight = 2 if forward_doubling else 1
     if num_micro_batches % (2 * weight) != 0:
         raise ConfigError(
@@ -91,11 +96,6 @@ def chimera_schedule(
     )
     schedule.validate()
     return schedule
-
-
-def _require_non_negative(name: str, value: float) -> None:
-    if math.isnan(value) or value < 0:
-        raise ConfigError(f"Chimera {name} must be non-negative, got {value}")
 
 
 def _device_of(pipe: int, stage: int, p: int) -> int:

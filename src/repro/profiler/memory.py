@@ -125,7 +125,10 @@ class MemoryModel:
         weights (the paper's setting), stage 2 also gradients, stage 3 also
         the fp16 parameters.
         """
-        params = sum(layer.params for layer in layers)
+        return self.static_bytes_of_params(sum(layer.params for layer in layers))
+
+    def static_bytes_of_params(self, params: int) -> float:
+        """:meth:`static_bytes` of layers holding ``params`` parameters."""
         t = self.parallel.tensor_parallel
         d = self.parallel.data_parallel
         zero = self.train.zero_stage

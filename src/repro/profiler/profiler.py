@@ -15,11 +15,12 @@ deterministic per unit name so searches remain reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.config import ParallelConfig, TrainingConfig
+from repro.config import ParallelConfig, TrainingConfig, require_non_negative
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.comm import CommModel
 from repro.model.layers import Layer, LayerKind
@@ -35,12 +36,22 @@ _BACKWARD_COMM_UNITS = {"attn.q", "ffn.in", "embed.lookup", "head.proj"}
 
 @dataclass(frozen=True)
 class UnitProfile:
-    """Measured (here: modelled) costs of one computation unit."""
+    """Measured (here: modelled) costs of one computation unit.
+
+    Raises:
+        ValueError: a time or ``saved_bytes`` is NaN, infinite or negative
+            (named with the unit), so a bad measurement never reaches a
+            stage evaluation.
+    """
 
     unit: ComputationUnit
     time_forward: float
     time_backward: float
     saved_bytes: float
+
+    def __post_init__(self) -> None:
+        for name in ("time_forward", "time_backward", "saved_bytes"):
+            require_non_negative(f"unit {self.unit.name} {name}", getattr(self, name))
 
     @property
     def name(self) -> str:
@@ -58,31 +69,61 @@ class UnitProfile:
 
 @dataclass(frozen=True)
 class LayerProfile:
-    """All unit profiles of one layer, with cached totals."""
+    """All unit profiles of one layer, with totals computed once.
+
+    A stage holding ``c`` layers of this kind costs ``c`` times each
+    total, which is how :class:`~repro.core.isomorphism.StageEvaluator`
+    prices a stage without walking its layers.
+    """
 
     kind: LayerKind
     units: Tuple[UnitProfile, ...]
 
-    @property
+    @functools.cached_property
     def time_forward(self) -> float:
         return sum(u.time_forward for u in self.units)
 
-    @property
+    @functools.cached_property
     def time_backward(self) -> float:
+        """Backward time with every unit saved (the fixed backward)."""
         return sum(u.time_backward for u in self.units)
 
-    @property
+    @functools.cached_property
     def full_recompute_extra(self) -> float:
         """Backward-time penalty of recomputing every optional unit."""
         return sum(u.time_forward for u in self.units if not u.always_saved)
 
-    @property
+    @functools.cached_property
     def saved_bytes_always(self) -> float:
         return sum(u.saved_bytes for u in self.units if u.always_saved)
 
     @property
     def saved_bytes_all(self) -> float:
         return sum(u.saved_bytes for u in self.units)
+
+    @functools.cached_property
+    def always_saved_counts(self) -> Tuple[Tuple[str, int], ...]:
+        """``(name, copies)`` of each always-saved unit type, in unit order."""
+        counts: Dict[str, int] = {}
+        for u in self.units:
+            if u.always_saved:
+                counts[u.name] = counts.get(u.name, 0) + 1
+        return tuple(counts.items())
+
+    @functools.cached_property
+    def optional_units(self) -> Tuple[Tuple[UnitProfile, int], ...]:
+        """``(first profile, copies)`` of each optional unit type, in unit order.
+
+        The knapsack takes one item per type, priced by its first profile;
+        the order decides its ties.
+        """
+        first: Dict[str, UnitProfile] = {}
+        copies: Dict[str, int] = {}
+        for u in self.units:
+            if not u.always_saved:
+                first.setdefault(u.name, u)
+                copies[u.name] = copies.get(u.name, 0) + 1
+        return tuple((u, copies[name]) for name, u in first.items())
 
 
 def _jitter(name: str, seed: int, noise: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from repro.config import ParallelConfig, TrainingConfig
 from repro.model.layers import LayerKind
 from repro.model.spec import tiny_gpt, tiny_llama
+from repro.profiler import measured
 from repro.profiler.measured import MeasuredProfiler, plan_with_measured_profile
 from repro.training.modules import build_model
 from repro.training.pipeline_exec import PipelineExecutor
@@ -80,6 +81,14 @@ class TestMeasurement:
         assert big.profile_layer(LayerKind.FFN).time_forward > (
             small.profile_layer(LayerKind.FFN).time_forward
         )
+
+
+    def test_negative_measured_bytes_are_rejected(self, setup, monkeypatch):
+        _, train, parallel, model = setup
+        monkeypatch.setattr(measured, "_tree_bytes", lambda obj: -1.0)
+        profiler = MeasuredProfiler(model, train, parallel, iterations=1)
+        with pytest.raises(ValueError, match="saved_bytes must be"):
+            profiler.profile_layer(LayerKind.FFN)
 
 
 class TestMeasuredPlanning:

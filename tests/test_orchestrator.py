@@ -759,7 +759,7 @@ class TestCacheFileFormat:
         path = tmp_path / "evals.json"
         _write_cache_file(path)
         document = json.loads(path.read_text())
-        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 3
+        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 4
         assert document["fingerprints"] == [list(_FINGERPRINT)]
         feasible, infeasible = document["rows"]
         assert len(feasible) == len(_ROW_COLUMNS)
@@ -893,6 +893,7 @@ class TestCacheFileCli:
         for document in (
             {"format_version": 1, "entries": []},
             {"format_version": 2, "fingerprints": [], "rows": []},
+            {"format_version": 3, "fingerprints": [], "rows": []},
         ):
             old.write_text(json.dumps(document))
             for argv in (
@@ -904,7 +905,7 @@ class TestCacheFileCli:
                 err = capsys.readouterr().err.strip()
                 assert "\n" not in err
                 assert err.startswith(f"error: {old}: unsupported ")
-                assert f"version {document['format_version']} (want 3)" in err
+                assert f"version {document['format_version']} (want 4)" in err
                 assert "deleting the file makes the next run start cold" in err
 
     def test_unreadable_plan_cache_and_checkpoint_files_exit_2(self, tmp_path, capsys):
@@ -943,3 +944,28 @@ class TestCacheFileCli:
             dump_plan(load_plan(plan).with_metadata(handle=object()), plan)
         assert open(plan).read() == text
         assert not os.path.exists(f"{plan}.tmp")
+
+    def test_unwritable_checkpoint_or_cache_exits_2(self, tmp_path, capsys):
+        """A checkpoint or cache path that cannot be written: one line,
+        exit 2, and no ``PATH.tmp`` left behind."""
+        plan = str(tmp_path / "plan.json")
+        assert cli_main([*self.PLAN, "--output", plan]) == 0
+        capsys.readouterr()
+        directory = tmp_path / "checkpoints"
+        directory.mkdir()
+        no_parent = tmp_path / "missing" / "evals.json"
+        replan = [
+            "replan", "--plan", plan, "--model", "bert-large",
+            "--device-pool", "a100:2", "--memory-limit-gib", "8",
+        ]
+        for argv, path in (
+            ([*self.PLAN, "--sweep-checkpoint", str(directory)], directory),
+            ([*replan, "--cache", str(no_parent)], no_parent),
+        ):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err
+            assert err.startswith(f"error: {path}: cannot write: ")
+            assert "deleting the file" not in err
+            assert not os.path.exists(f"{path}.tmp")
+        assert directory.is_dir()

@@ -1,5 +1,8 @@
 """Tests for repro.profiler — roofline timing, memory model, profiler."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.config import ParallelConfig, TrainingConfig
@@ -9,6 +12,7 @@ from repro.model.layers import LayerKind, build_layer_sequence
 from repro.model.spec import gpt3_175b
 from repro.model.units import OpDesc, OpKind, units_for_layer
 from repro.profiler.memory import MemoryModel, StageMemory
+from repro.profiler import profiler as profiler_module
 from repro.profiler.profiler import Profiler
 from repro.profiler.timing import op_time, unit_backward_time, unit_forward_time
 
@@ -177,3 +181,32 @@ class TestProfiler:
             u.time_forward for u in profile.units if not u.always_saved
         )
         assert profile.full_recompute_extra == pytest.approx(manual)
+
+    def test_per_kind_totals_follow_unit_order(self, train, parallel):
+        profiler = Profiler(cluster_a(), gpt3_175b(), train, parallel)
+        profile = profiler.profile_layer(LayerKind.ATTENTION)
+        always = [u.name for u in profile.units if u.always_saved]
+        optional = [u for u in profile.units if not u.always_saved]
+        assert profile.always_saved_counts == tuple((name, 1) for name in always)
+        assert profile.optional_units == tuple((u, 1) for u in optional)
+        assert profile.time_forward is profile.time_forward  # computed once
+
+
+class TestUnitProfileValidation:
+    """Bad profiler numbers stop at the unit profile, named."""
+
+    @pytest.mark.parametrize("field", ["time_forward", "time_backward", "saved_bytes"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_number_names_unit_and_field(self, train, parallel, field, value):
+        profiler = Profiler(cluster_a(), gpt3_175b(), train, parallel)
+        good = profiler.profile_layer(LayerKind.FFN).units[0]
+        with pytest.raises(ValueError, match=rf"unit {good.name} {field} must be"):
+            dataclasses.replace(good, **{field: value})
+
+    def test_profiler_rejects_a_nan_unit_time(self, train, parallel, monkeypatch):
+        monkeypatch.setattr(
+            profiler_module, "unit_backward_time", lambda unit, device: math.nan
+        )
+        profiler = Profiler(cluster_a(), gpt3_175b(), train, parallel)
+        with pytest.raises(ValueError, match=r"unit attn\.norm time_backward"):
+            profiler.profile_layer(LayerKind.ATTENTION)
