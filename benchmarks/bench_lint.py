@@ -3,7 +3,7 @@
 Three paths matter operationally:
 
 * **cold** — a fresh process linting the whole tree (CI's static-analysis
-  job): every file parsed, the project index and call graph built.
+  job): every file parsed and checked.
 * **warm** — a re-run in the same process (editor/watch loops): the
   (path, mtime, size)-keyed parse cache short-circuits every parse, so
   the run should be dominated by rule evaluation, not ``ast.parse``.
@@ -23,8 +23,7 @@ from repro.analysis.framework import clear_parse_cache
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: A small, stable changed-set stand-in: the task model, the lowering
-#: and the reference engine, whose hop addends the float-order contract
-#: pairs.
+#: and the reference engine.
 CHANGED_SCOPE = [
     SRC_REPRO / "pipeline" / "simulator.py",
     SRC_REPRO / "pipeline" / "tasks.py",

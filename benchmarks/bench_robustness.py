@@ -8,15 +8,15 @@ simulator engines show up in the uploaded ``BENCH_robustness.json``.
 The ``batch``-named benches pin the batched vectorized path (uploaded
 separately as ``BENCH_batch.json``): one p=4, K=32 ensemble executed as a
 single numpy sweep must beat the per-draw path by >= 10x — with
-bit-identical results. The per-draw benches here pass ``engine="reference"``
-explicitly: the per-draw oracle runs every draw through
-``simulate_reference``, the floor the batched path is compared against.
+bit-identical results. The per-draw benches here call the oracle,
+``evaluate_robustness_reference``, which runs every draw through
+``simulate_reference``: the floor the batched path is compared against.
 """
 
 import random
 
 from benchmarks.common import best_of
-from repro.core.robust import evaluate_robustness
+from repro.core.robust import evaluate_robustness, evaluate_robustness_reference
 from repro.pipeline.perturb import PerturbationSpec, perturb_schedule
 from repro.pipeline.schedules import one_f_one_b_schedule
 from repro.pipeline.simulator import simulate_reference
@@ -59,14 +59,12 @@ def test_perturb_lowering_latency(benchmark):
 
 def test_robustness_ensemble(benchmark):
     """The full p=4, K=8 report on the per-draw path: ensemble +
-    criticality differences. Pinned to ``engine="reference"`` with caching
-    off so the bench keeps measuring per-draw compute, not cache hits."""
+    criticality differences. The oracle is uncached, so the bench keeps
+    measuring per-draw compute, not cache hits."""
     schedule = _schedule()
     spec = _spec()
     report = benchmark(
-        lambda: evaluate_robustness(
-            schedule, spec, DRAWS, engine="reference", cache=False
-        )
+        lambda: evaluate_robustness_reference(schedule, spec, DRAWS)
     )
     assert len(report.times) == DRAWS
     assert all(c >= 0.0 for c in report.device_criticality)
@@ -90,9 +88,7 @@ def test_ensemble_overhead_floor(benchmark):
     lowerings = DRAWS + P + 1
 
     def _sequential():
-        return evaluate_robustness(
-            schedule, spec, DRAWS, engine="reference", cache=False
-        )
+        return evaluate_robustness_reference(schedule, spec, DRAWS)
 
     single = best_of(lambda: simulate_reference(schedule))
     lower = best_of(lambda: perturb_schedule(schedule, spec))
@@ -117,9 +113,7 @@ def test_batched_ensemble(benchmark):
     spec = _spec()
 
     def _batched():
-        return evaluate_robustness(
-            schedule, spec, BATCH_DRAWS, engine="batched", cache=False
-        )
+        return evaluate_robustness(schedule, spec, BATCH_DRAWS, cache=False)
 
     _batched()  # warm the jitter memo on the schedule's BatchedSchedule
     report = benchmark(_batched)
@@ -141,14 +135,10 @@ def test_batched_vs_sequential_floor(benchmark):
     spec = _spec()
 
     def _batched():
-        return evaluate_robustness(
-            schedule, spec, BATCH_DRAWS, engine="batched", cache=False
-        )
+        return evaluate_robustness(schedule, spec, BATCH_DRAWS, cache=False)
 
     def _sequential():
-        return evaluate_robustness(
-            schedule, spec, BATCH_DRAWS, engine="reference", cache=False
-        )
+        return evaluate_robustness_reference(schedule, spec, BATCH_DRAWS)
 
     batched_report = _batched()  # also warms the jitter memo
     sequential_report = _sequential()

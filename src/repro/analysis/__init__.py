@@ -1,10 +1,8 @@
 """adalint: domain-aware static analysis for the AdaPipe reproduction.
 
-An AST-based lint framework plus five rules proving, on every file at
-every CI run, the invariants the repo's correctness rests on but no test
-suite can exhaustively cover.
-
-The original file-local families (PR 5):
+An AST-based lint framework plus three file-local rules proving, on
+every file at every CI run, invariants the repo's correctness rests on
+but no test suite can exhaustively cover:
 
 * **determinism** — no module-level/unseeded RNG, no wall-clock reads
   outside the measurement layers, no iteration over sets without
@@ -16,28 +14,20 @@ The original file-local families (PR 5):
 * **frozen-mutation** — ``object.__setattr__`` only inside
   ``__post_init__``.
 
-The interprocedural families (v2), built on the project symbol table /
-import graph (:mod:`repro.analysis.project`), call graph
-(:mod:`repro.analysis.callgraph`) and purity dataflow
-(:mod:`repro.analysis.dataflow`):
-
-* **transform-purity** — nothing reachable from the §9 duration
-  transforms mutates arguments, writes module state, or performs I/O;
-* **float-order-divergence** — the paired lowering expressions the
-  engines' bit-equivalence rests on share one canonical op order.
-
-Registries need no rule: every schedule-kind site reads the one
+The invariants other rules used to police hold by construction or by
+test instead. Registries: every schedule-kind site reads the one
 schedule-family table (:mod:`repro.pipeline.schedules.families`), and
-:mod:`repro.analysis.docs_sync` imports the experiment, method, engine
-and rule registries to check that the docs name every member. Digests
-and codecs need none either: they walk ``dataclasses.fields``
-(:mod:`repro.content`), so a field is covered by construction and
-leaves a digest only through a reasoned declaration on itself.
+:mod:`repro.analysis.docs_sync` imports the experiment, method and rule
+registries to check that the docs name every member. Digests and codecs
+walk ``dataclasses.fields`` (:mod:`repro.content`), so a field is covered
+by construction. The perturbation transform's float order has one copy,
+:func:`repro.pipeline.perturb.perturb_duration`, and its purity is a
+property test (``tests/test_batched.py``).
 
-Entry points: ``adapipe lint`` (CLI; text/JSON/SARIF reporters), checks
-10 and 12 of ``adapipe validate``, and :func:`run_lint` for programmatic
-use. See ``docs/ALGORITHMS.md`` sections 10 and 15 for each rule's
-soundness argument.
+Entry points: ``adapipe lint`` (CLI; text/JSON/SARIF reporters), check
+10 of ``adapipe validate``, and :func:`run_lint` for programmatic use.
+See ``docs/ALGORITHMS.md`` sections 10 and 15 for each rule's soundness
+argument and why the interprocedural layer left.
 """
 
 from repro.analysis.findings import SEVERITIES, Finding

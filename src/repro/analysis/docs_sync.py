@@ -7,8 +7,7 @@ document gets is decided by its file name:
 
 * ``USAGE.md`` — the adalint rule table ("Static analysis: adalint")
   must list exactly the registered rules with their severities (``adapipe
-  lint --list-rules`` is generated from the same registry), and the text
-  must name every robustness engine;
+  lint --list-rules`` is generated from the same registry);
 * ``EXPERIMENTS.md`` — the text must name every experiment id and every
   baseline method.
 
@@ -44,7 +43,6 @@ RULE_TABLE_DOC = "USAGE.md"
 NAMED_REGISTRIES = (
     ("EXPERIMENTS.md", "experiment", "repro.experiments.registry", "EXPERIMENTS"),
     ("EXPERIMENTS.md", "baseline method", "repro.baselines.methods", "ALL_METHODS"),
-    ("USAGE.md", "robustness engine", "repro.core.robust", "ROBUST_ENGINES"),
 )
 
 

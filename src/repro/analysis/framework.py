@@ -90,8 +90,16 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
+def _registry() -> Dict[str, Type[Rule]]:
+    """The registry with the domain rules loaded, whatever was imported
+    before: importing :mod:`repro.analysis.rules` registers them."""
+    import repro.analysis.rules  # noqa: F401  -- importing registers the rules
+
+    return _REGISTRY
+
+
 def registered_rule_names() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def rule_description(name: str) -> str:
@@ -103,14 +111,12 @@ def rule_description(name: str) -> str:
     }
     if name in meta:
         return meta[name]
-    cls = _REGISTRY.get(name)
+    cls = _registry().get(name)
     return cls.description if cls is not None else ""
 
 
 def default_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in name order."""
-    import repro.analysis.rules  # noqa: F401  -- importing registers the rules
-
     return [_REGISTRY[name]() for name in registered_rule_names()]
 
 
@@ -201,46 +207,12 @@ def parse_suppressions(lines: Sequence[str]) -> Dict[int, Suppression]:
 
 
 class LintContext:
-    """Shared state of one lint run: the root and a parse cache.
-
-    Rules that need *other* files than the one under check (e.g. the
-    float-order rule reads every site of a contract) go through
-    :meth:`module_at`, so every file is parsed at most once per run even
-    when several rules consult it.
-    """
+    """Shared state of one lint run: the root findings are reported
+    relative to. Every rule is file-local, so this is all a rule needs
+    beyond the module under check."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
-        self._cache: Dict[Path, Optional[SourceModule]] = {}
-        self._projects: Dict[Path, object] = {}
-
-    def module_at(self, path: Path) -> Optional[SourceModule]:
-        path = path.resolve()
-        if path not in self._cache:
-            try:
-                relpath = path.relative_to(self.root).as_posix()
-            except ValueError:
-                relpath = path.as_posix()
-            try:
-                self._cache[path] = parse_cached(path, relpath)
-            except (OSError, SyntaxError):
-                self._cache[path] = None
-        return self._cache[path]
-
-    def project_at(self, root: Path) -> object:
-        """The :class:`~repro.analysis.project.ProjectIndex` for ``root``.
-
-        Built on first request and shared by every interprocedural rule
-        consulting the same tree in this run. Typed ``object`` here only
-        to keep the framework module import-light; the concrete type is
-        ``ProjectIndex``.
-        """
-        root = root.resolve()
-        if root not in self._projects:
-            from repro.analysis.project import build_project
-
-            self._projects[root] = build_project(self, root)
-        return self._projects[root]
 
 
 @dataclass
@@ -359,7 +331,6 @@ def run_lint(
                 )
             )
             continue
-        ctx._cache[path.resolve()] = module
         modules.append(module)
 
     files_scanned = len(modules)

@@ -46,7 +46,6 @@ import collections.abc
 import dataclasses
 import hashlib
 import itertools
-import json
 import multiprocessing
 import operator
 import os
@@ -68,7 +67,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -82,7 +80,12 @@ from repro.core.isomorphism import (
 )
 from repro.core.plan import PipelinePlan
 from repro.core.search import PlannerContext
-from repro.core.serialize import atomic_write_json, plan_from_dict, plan_to_dict
+from repro.core.serialize import (
+    plan_from_dict,
+    plan_to_dict,
+    read_json_file,
+    write_json_file,
+)
 from repro.hardware.cluster import ClusterSpec
 from repro.model.spec import ModelSpec
 
@@ -370,49 +373,13 @@ def _decode_entries(document) -> List[CacheEntry]:
     return _decode_rows(rows, table)
 
 
-_T = TypeVar("_T")
-
-
-def _load_json_file(path: str, decode: Callable[[Dict], _T]) -> _T:
-    """Read and decode one JSON document.
-
-    Every failure is a :class:`CheckpointError` whose message starts with
-    ``path``: a path that cannot be read (missing, a directory), invalid
-    JSON, a document that is not an object, or whatever ``decode``
-    rejects.
-    """
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise CheckpointError(
-            f"{path}: not a JSON object (got {type(document).__name__})"
-        )
-    try:
-        return decode(document)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-
-
-def _write_json_file(document: Dict, path: str) -> None:
-    """Write one JSON document atomically; a path that cannot be written
-    (a directory, a missing parent) raises :class:`CheckpointError`."""
-    try:
-        atomic_write_json(document, path)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot write: {exc}") from exc
-
-
 def save_cache_file(cache: StageEvalCache, path: str) -> int:
     """Persist a cache's shareable entries for cross-run warm starts."""
     entries = cache.export_entries()
-    _write_json_file(
+    write_json_file(
         {"format_version": CACHE_FILE_FORMAT_VERSION, **_encode_entries(entries)},
         path,
+        CheckpointError,
     )
     return len(entries)
 
@@ -433,7 +400,7 @@ def load_cache_file(path: str) -> List[CacheEntry]:
         CheckpointError: the file cannot be read or is not valid JSON, has
             another format version, or holds a malformed row.
     """
-    return _load_json_file(path, _cache_file_from_dict)
+    return read_json_file(path, _cache_file_from_dict, CheckpointError)
 
 
 def sweep_fingerprint(
@@ -527,12 +494,12 @@ def checkpoint_from_dict(data: Dict) -> SweepCheckpoint:
 
 def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
     """Atomically write a checkpoint file."""
-    _write_json_file(checkpoint_to_dict(checkpoint), path)
+    write_json_file(checkpoint_to_dict(checkpoint), path, CheckpointError)
 
 
 def load_checkpoint(path: str) -> SweepCheckpoint:
     """Read a checkpoint file written by :func:`save_checkpoint`."""
-    return _load_json_file(path, checkpoint_from_dict)
+    return read_json_file(path, checkpoint_from_dict, CheckpointError)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +846,7 @@ class _Coordinator:
 
     def _snapshot(self) -> SweepCheckpoint:
         cache_entries: Tuple[CacheEntry, ...] = ()
-        if self.cache is not None and self.config.checkpoint_cache:
+        if self.cache is not None:
             cache_entries = tuple(self.cache.export_entries())
         best_time = self.best_key[0] if self.best_key is not None else None
         return SweepCheckpoint(
@@ -919,13 +886,10 @@ class _Coordinator:
                 self._emit("pruned", index, None, 0.0, improved=False)
         if not self.remaining:
             return None
-        if self.config.shard_size > 0:
-            size = self.config.shard_size
-        else:
-            # Guided self-scheduling: hand out 1/(2w) of what's left, so
-            # early shards amortise dispatch overhead and the tail breaks
-            # into single strategies that idle workers steal.
-            size = max(1, len(self.remaining) // (2 * max(1, self.config_workers)))
+        # Guided self-scheduling: hand out 1/(2w) of what's left, so early
+        # shards amortise dispatch overhead and the tail breaks into single
+        # strategies that idle workers steal.
+        size = max(1, len(self.remaining) // (2 * max(1, self.config_workers)))
         indices = tuple(
             self.remaining.popleft() for _ in range(min(size, len(self.remaining)))
         )

@@ -24,19 +24,23 @@ produce an identical :class:`RobustnessReport`, which is what lets the
 report double as a regression artifact and lets the sweep rank plans by
 a robust objective (``repro.core.sweep`` with ``robust_objective``).
 
-Execution engines. By default the whole ensemble — nominal row, K jitter
-rows, the deterministic baseline and the p criticality bumps — is lowered
-into one ``(2 + K + p) x tasks`` duration matrix and swept through the
-batched vectorized executor (:mod:`repro.pipeline.batched`) in one numpy
-call: perturbations are pure duration/hop transforms, so the DAG is
-lowered once and only the numbers change per row (ALGORITHMS.md section
-11). The per-draw path — ``perturb_schedule`` + ``simulate_reference``
-per ensemble member — is kept verbatim behind ``engine="reference"`` as
-the bit-equivalence oracle: every batched report equals the reference
-report exactly (fuzz-pinned in ``tests/test_batched.py``). Completed
-ensembles are cached whole, keyed by :func:`ensemble_digest`, in a
+Execution. The whole ensemble — nominal row, K jitter rows, the
+deterministic baseline and the p criticality bumps — is lowered into one
+``(2 + K + p) x tasks`` duration matrix and swept through the batched
+vectorized executor (:mod:`repro.pipeline.batched`) in one numpy call:
+perturbations are pure duration/hop transforms, so the DAG is lowered
+once and only the numbers change per row (ALGORITHMS.md section 11).
+Every perturbed row comes from
+:func:`~repro.pipeline.perturb.perturb_duration`, the one transform
+``perturb_schedule`` applies per task. :func:`evaluate_robustness` is the
+one-schedule case of :func:`evaluate_robustness_many`.
+:func:`evaluate_robustness_reference` — ``perturb_schedule`` +
+``simulate_reference`` per ensemble member, uncached — is the oracle,
+and every report equals the oracle's exactly (fuzz-pinned in
+``tests/test_batched.py``). Completed ensembles are cached whole, keyed
+by :func:`ensemble_digest`, in a
 :class:`~repro.pipeline.simulator.SimulationCache` — one lookup per
-report, whichever engine computes a miss.
+report.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ import dataclasses
 import hashlib
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -56,6 +59,7 @@ from repro.pipeline.perturb import (
     PerturbationSpec,
     lower_spec_components,
     lowered_link_hops,
+    perturb_duration,
     perturb_schedule,
 )
 from repro.pipeline.simulator import (
@@ -66,23 +70,19 @@ from repro.pipeline.simulator import (
 from repro.pipeline.tasks import Schedule
 
 __all__ = [
-    "ROBUST_ENGINES",
     "ROBUST_OBJECTIVES",
     "RobustnessReport",
     "cluster_perturbation",
     "ensemble_digest",
     "evaluate_robustness",
     "evaluate_robustness_many",
+    "evaluate_robustness_reference",
     "global_ensemble_cache",
     "robust_metadata",
 ]
 
 #: Selectable ensemble statistics, in `--robust-objective` order.
 ROBUST_OBJECTIVES = ("nominal", "mean", "p95", "worst")
-
-#: Robustness execution paths: the batched vectorized sweep (default) and
-#: the per-draw reference engine, kept as the bit-equivalence oracle.
-ROBUST_ENGINES = ("batched", "reference")
 
 #: Relative factor bump used by the criticality finite difference.
 CRITICALITY_EPSILON = 0.25
@@ -250,9 +250,7 @@ def ensemble_digest(
 
     Covers everything a :class:`RobustnessReport` depends on: the
     schedule's full content digest, the spec's content digest, the draw
-    count and the criticality epsilon. The engine is deliberately
-    excluded — the batched and reference paths are bit-equivalent (the
-    tested invariant), so one cache entry serves both.
+    count and the criticality epsilon.
     """
     payload = (
         f"robust-ensemble-v1|{schedule.digest()}|{spec.content_digest()}"
@@ -267,15 +265,6 @@ _GLOBAL_ENSEMBLE_CACHE: "SimulationCache[RobustnessReport]" = SimulationCache()
 def global_ensemble_cache() -> "SimulationCache[RobustnessReport]":
     """The process-wide cache robustness evaluation consults by default."""
     return _GLOBAL_ENSEMBLE_CACHE
-
-
-def _resolve_robust_engine(engine: Optional[str]) -> str:
-    engine = engine or "batched"
-    if engine not in ROBUST_ENGINES:
-        raise ValueError(
-            f"unknown robustness engine {engine!r}; pick from {ROBUST_ENGINES}"
-        )
-    return engine
 
 
 def _validate_ensemble_args(draws: int, criticality_epsilon: float) -> None:
@@ -295,43 +284,39 @@ def _ensemble_rows(
     factors: np.ndarray,
     delays: np.ndarray,
     draws: int,
-    jitters: Sequence[np.ndarray],
+    jitters: Optional[np.ndarray],
     criticality_epsilon: float,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """The ensemble's duration rows for one schedule's raw durations.
 
     Fixed layout: ``[nominal, draw 0 .. draw K-1, deterministic base,
-    device-0 bump .. device-(p-1) bump]``. Every elementwise operation
-    replays the scalar transform's per-task float order (factor, then
-    jitter, then stall delay), so each row is bit-identical to the
-    durations of the equivalent ``perturb_schedule`` output.
+    device-0 bump .. device-(p-1) bump]``. Every perturbed row is
+    :func:`~repro.pipeline.perturb.perturb_duration` of ``raw``, the
+    transform ``perturb_schedule`` applies per task, so each row is
+    bit-identical to the durations of the equivalent ``perturb_schedule``
+    output.
 
-    ``jitters`` is empty when the spec draws no jitter — every ensemble
-    member then equals the deterministic base. The deterministic
-    components — ``factors``, ``delays`` and the ``raw * factors``
-    baseline — are computed once and shared across the K jitter rows and
-    the p criticality bumps (the scalar path rebuilt the baseline spec
-    per device).
+    ``jitters`` is the ``(K, n)`` matrix of the draws' jitter vectors, or
+    ``None`` when the spec draws no jitter — every ensemble member then
+    equals the deterministic base. Broadcasting computes ``raw * factors``
+    once for all K draws, and the p criticality bumps are one ``(p, n)``
+    factor matrix (the reference rebuilt the baseline spec per device).
     """
-    has_delay = bool(delays.any())
-
-    def finish(durations: np.ndarray) -> np.ndarray:
-        return durations + delays if has_delay else durations
-
-    rows = [raw]
-    base = raw * factors
-    if jitters:
-        rows.extend(finish(base * jitter) for jitter in jitters)
+    delay = delays if delays.any() else None
+    base = perturb_duration(raw, factors, None, delay)
+    if jitters is None:
+        ensemble = np.broadcast_to(base, (draws, raw.size))
     else:
-        deterministic = finish(base)
-        rows.extend(deterministic for _ in range(draws))
-    rows.append(finish(base))
+        ensemble = perturb_duration(raw, factors, jitters, delay)
+    bumps = np.tile(factors, (num_devices, 1))
     for d in range(num_devices):
-        bumped_factor = spec.factor_for(d) * (1.0 + criticality_epsilon)
-        bumped = factors.copy()
-        bumped[device == d] = bumped_factor
-        rows.append(finish(raw * bumped))
-    return rows
+        bumps[d, device == d] = spec.factor_for(d) * (1.0 + criticality_epsilon)
+    return np.concatenate([
+        raw[np.newaxis],
+        ensemble,
+        base[np.newaxis],
+        perturb_duration(raw, bumps, None, delay),
+    ])
 
 
 def _execute_rows(
@@ -388,58 +373,180 @@ def _report_from_times(
     )
 
 
-def _evaluate_batched(
-    schedule: Schedule,
+def _evaluate_group(
+    schedules: Sequence[Schedule],
     spec: PerturbationSpec,
     draws: int,
     criticality_epsilon: float,
-) -> RobustnessReport:
-    """One schedule's ensemble as a single batched sweep."""
-    sim = batched_simulator(schedule)
-    compiled = schedule.compiled()
+) -> List[RobustnessReport]:
+    """The ensembles of schedules sharing one shape, as one batched sweep.
+
+    Same shape means the same task enumeration order, so the first
+    member's lowering — executor, factors, stall delays, jitter vectors,
+    link hops — serves every member; only the raw durations differ.
+    """
+    first = schedules[0]
+    sim = batched_simulator(first)
+    compiled = first.compiled()
+    num_devices = first.num_devices
     base_spec = _deterministic_spec(spec)
     factors, delays = lower_spec_components(compiled, base_spec)
     sigma = spec.jitter_sigma
     jitters = (
-        [sim.jitter_vector(spec.seed + k, sigma) for k in range(draws)]
-        if sigma
-        else []
+        np.stack([sim.jitter_vector(spec.seed + k, sigma) for k in range(draws)])
+        if sigma and draws
+        else None
     )
-    rows = _ensemble_rows(
-        raw=sim.raw_durations,
-        device=np.asarray(compiled.device, dtype=np.intp),
-        num_devices=schedule.num_devices,
-        spec=base_spec,
-        factors=factors,
-        delays=delays,
-        draws=draws,
-        jitters=jitters,
-        criticality_epsilon=criticality_epsilon,
-    )
-    matrix = np.stack(rows)
+    device = np.asarray(compiled.device, dtype=np.intp)
+    blocks = []
+    for schedule in schedules:
+        if schedule is first:
+            raw = sim.raw_durations
+        else:
+            raw = np.array(
+                [task.duration for tasks in schedule.device_tasks for task in tasks],
+                dtype=np.float64,
+            )
+        blocks.append(
+            _ensemble_rows(
+                raw=raw,
+                device=device,
+                num_devices=num_devices,
+                spec=base_spec,
+                factors=factors,
+                delays=delays,
+                draws=draws,
+                jitters=jitters,
+                criticality_epsilon=criticality_epsilon,
+            )
+        )
+    block = 2 + draws + num_devices
     times = _execute_rows(
         sim,
-        matrix,
-        lowered_link_hops(spec, schedule),
-        nominal_rows=np.asarray([0], dtype=np.intp),
+        np.concatenate(blocks),
+        lowered_link_hops(spec, first),
+        nominal_rows=np.arange(len(schedules), dtype=np.intp) * block,
     )
-    return _report_from_times(
-        spec, draws, times, schedule.num_devices, criticality_epsilon
-    )
+    return [
+        _report_from_times(
+            spec,
+            draws,
+            times[slot * block:(slot + 1) * block],
+            num_devices,
+            criticality_epsilon,
+        )
+        for slot in range(len(schedules))
+    ]
 
 
-def _evaluate_scalar(
+def evaluate_robustness(
     schedule: Schedule,
     spec: PerturbationSpec,
-    draws: int,
-    criticality_epsilon: float,
+    draws: int = 16,
+    *,
+    cache: Union[SimulationCache[RobustnessReport], bool, None] = None,
+    criticality_epsilon: float = CRITICALITY_EPSILON,
 ) -> RobustnessReport:
-    """The per-draw oracle path: perturb, re-lower and simulate each row.
+    """Run the perturbation ensemble and the criticality differences.
 
-    Kept verbatim from the pre-batched implementation, on the reference
-    engine — this is the semantics the batched sweep must reproduce
-    bit-for-bit.
+    Args:
+        schedule: the nominal schedule under evaluation.
+        spec: the perturbation model. Draw ``k`` applies
+            ``spec.reseeded(k)``, so jitter re-draws per ensemble member
+            while factors/stalls/links stay fixed.
+        draws: ensemble size ``K``; 0 skips the ensemble (the statistics
+            then report the deterministic perturbed time).
+        cache: a :class:`~repro.pipeline.simulator.SimulationCache` of
+            whole reports, ``None`` for the process-global one (unless
+            ``REPRO_SIM_CACHE`` disables it), ``True`` for the global one
+            regardless, or ``False`` for none.
+        criticality_epsilon: relative bump for the finite difference.
+
+    The one-schedule case of :func:`evaluate_robustness_many`. The report
+    depends only on (schedule content, spec, draws, epsilon) —
+    property-tested in ``tests/test_robustness.py`` — and equals
+    :func:`evaluate_robustness_reference` exactly (``tests/test_batched.py``).
     """
+    return evaluate_robustness_many(
+        [schedule],
+        spec,
+        draws,
+        cache=cache,
+        criticality_epsilon=criticality_epsilon,
+    )[0]
+
+
+def evaluate_robustness_many(
+    schedules: Sequence[Schedule],
+    spec: PerturbationSpec,
+    draws: int = 16,
+    *,
+    cache: Union[SimulationCache[RobustnessReport], bool, None] = None,
+    criticality_epsilon: float = CRITICALITY_EPSILON,
+) -> List[RobustnessReport]:
+    """:func:`evaluate_robustness` for many schedules, batched by shape.
+
+    Candidate plans in a robust sweep build schedules that differ only in
+    task durations — same policy, same device count, same micro-batch
+    count, hence the same DAG. Schedules sharing a
+    :func:`~repro.pipeline.batched.shape_digest` are grouped and their
+    ensembles stacked into one duration matrix executed through a single
+    :class:`~repro.pipeline.batched.BatchedSchedule`, which also shares
+    the spec lowering (factors, stall delays, jitter vectors) across the
+    whole group. A lone cache miss is its own group and pays for no
+    shape digest. Reports equal per-schedule
+    :func:`evaluate_robustness_reference` results exactly.
+    """
+    schedules = list(schedules)
+    _validate_ensemble_args(draws, criticality_epsilon)
+    ens_cache = resolve_cache(cache, _GLOBAL_ENSEMBLE_CACHE)
+    reports: List[Optional[RobustnessReport]] = [None] * len(schedules)
+    digests: List[str] = [""] * len(schedules)
+    misses: List[int] = []
+    for i, schedule in enumerate(schedules):
+        if ens_cache is not None:
+            digests[i] = ensemble_digest(schedule, spec, draws, criticality_epsilon)
+            reports[i] = ens_cache.get(digests[i])
+            if reports[i] is not None:
+                continue
+        misses.append(i)
+
+    if len(misses) == 1:
+        # A lone miss is its own group; a shape digest would buy nothing.
+        groups = [misses]
+    else:
+        by_shape: Dict[str, List[int]] = {}
+        for i in misses:
+            by_shape.setdefault(shape_digest(schedules[i].compiled()), []).append(i)
+        groups = list(by_shape.values())
+    for members in groups:
+        computed = _evaluate_group(
+            [schedules[i] for i in members], spec, draws, criticality_epsilon
+        )
+        for i, report in zip(members, computed):
+            reports[i] = report
+            if ens_cache is not None:
+                ens_cache.put(digests[i], report)
+    # Every index either hit the cache or belongs to exactly one group.
+    assert all(report is not None for report in reports)
+    return reports  # type: ignore[return-value]
+
+
+def evaluate_robustness_reference(
+    schedule: Schedule,
+    spec: PerturbationSpec,
+    draws: int = 16,
+    *,
+    criticality_epsilon: float = CRITICALITY_EPSILON,
+) -> RobustnessReport:
+    """The per-draw oracle: perturb, re-lower and simulate every row.
+
+    Mirrors :func:`~repro.pipeline.simulator.simulate_reference`: uncached,
+    one ``perturb_schedule`` + ``simulate_reference`` run per ensemble
+    member and per criticality bump. This is the semantics
+    :func:`evaluate_robustness` must reproduce bit for bit.
+    """
+    _validate_ensemble_args(draws, criticality_epsilon)
     nominal = simulate_reference(schedule).iteration_time
     times = tuple(
         simulate_reference(
@@ -475,170 +582,6 @@ def _evaluate_scalar(
         device_criticality=tuple(criticality),
         criticality_epsilon=criticality_epsilon,
     )
-
-
-def evaluate_robustness(
-    schedule: Schedule,
-    spec: PerturbationSpec,
-    draws: int = 16,
-    *,
-    engine: Optional[str] = None,
-    cache: Union[SimulationCache[RobustnessReport], bool, None] = None,
-    criticality_epsilon: float = CRITICALITY_EPSILON,
-) -> RobustnessReport:
-    """Run the perturbation ensemble and the criticality differences.
-
-    Args:
-        schedule: the nominal schedule under evaluation.
-        spec: the perturbation model. Draw ``k`` applies
-            ``spec.reseeded(k)``, so jitter re-draws per ensemble member
-            while factors/stalls/links stay fixed.
-        draws: ensemble size ``K``; 0 skips the ensemble (the statistics
-            then report the deterministic perturbed time).
-        engine: one of :data:`ROBUST_ENGINES` — how a cache miss is
-            computed. The default picks the batched vectorized sweep;
-            ``"reference"`` runs the per-draw oracle through
-            :func:`repro.pipeline.simulator.simulate_reference`.
-        cache: a :class:`~repro.pipeline.simulator.SimulationCache` of
-            whole reports, ``None`` for the process-global one (unless
-            ``REPRO_SIM_CACHE`` disables it), ``True`` for the global one
-            regardless, or ``False`` for none.
-        criticality_epsilon: relative bump for the finite difference.
-
-    Determinism: the report depends only on (schedule content, spec,
-    draws, epsilon) — property-tested in ``tests/test_robustness.py`` —
-    and is bit-identical across both engines (``tests/test_batched.py``).
-    """
-    _validate_ensemble_args(draws, criticality_epsilon)
-    evaluate = (
-        _evaluate_batched
-        if _resolve_robust_engine(engine) == "batched"
-        else _evaluate_scalar
-    )
-    ens_cache = resolve_cache(cache, _GLOBAL_ENSEMBLE_CACHE)
-    if ens_cache is None:
-        return evaluate(schedule, spec, draws, criticality_epsilon)
-    digest = ensemble_digest(schedule, spec, draws, criticality_epsilon)
-    report = ens_cache.get(digest)
-    if report is None:
-        report = evaluate(schedule, spec, draws, criticality_epsilon)
-        ens_cache.put(digest, report)
-    return report
-
-
-def evaluate_robustness_many(
-    schedules: Sequence[Schedule],
-    spec: PerturbationSpec,
-    draws: int = 16,
-    *,
-    engine: Optional[str] = None,
-    cache: Union[SimulationCache[RobustnessReport], bool, None] = None,
-    criticality_epsilon: float = CRITICALITY_EPSILON,
-) -> List[RobustnessReport]:
-    """:func:`evaluate_robustness` for many schedules, batched by shape.
-
-    Candidate plans in a robust sweep build schedules that differ only in
-    task durations — same policy, same device count, same micro-batch
-    count, hence the same DAG. Schedules sharing a
-    :func:`~repro.pipeline.batched.shape_digest` are grouped and their
-    ensembles stacked into one duration matrix executed through a single
-    :class:`~repro.pipeline.batched.BatchedSchedule`, which also shares
-    the spec lowering (factors, stall delays, jitter vectors) across the
-    whole group. Reports equal per-schedule :func:`evaluate_robustness`
-    results exactly.
-    """
-    schedules = list(schedules)
-    _validate_ensemble_args(draws, criticality_epsilon)
-    if _resolve_robust_engine(engine) == "reference":
-        return [
-            evaluate_robustness(
-                schedule,
-                spec,
-                draws,
-                engine="reference",
-                cache=cache,
-                criticality_epsilon=criticality_epsilon,
-            )
-            for schedule in schedules
-        ]
-
-    ens_cache = resolve_cache(cache, _GLOBAL_ENSEMBLE_CACHE)
-    reports: List[Optional[RobustnessReport]] = [None] * len(schedules)
-    digests: List[Optional[str]] = [None] * len(schedules)
-    groups: "OrderedDict[str, List[int]]" = OrderedDict()
-    for i, schedule in enumerate(schedules):
-        if ens_cache is not None:
-            digests[i] = ensemble_digest(
-                schedule, spec, draws, criticality_epsilon
-            )
-            found = ens_cache.get(digests[i])
-            if found is not None:
-                reports[i] = found
-                continue
-        groups.setdefault(shape_digest(schedule.compiled()), []).append(i)
-
-    sigma = spec.jitter_sigma
-    for members in groups.values():
-        first = schedules[members[0]]
-        sim = batched_simulator(first)
-        compiled = first.compiled()
-        num_devices = first.num_devices
-        base_spec = _deterministic_spec(spec)
-        factors, delays = lower_spec_components(compiled, base_spec)
-        jitters = (
-            [sim.jitter_vector(spec.seed + k, sigma) for k in range(draws)]
-            if sigma
-            else []
-        )
-        device = np.asarray(compiled.device, dtype=np.intp)
-        link_hops = lowered_link_hops(spec, first)
-        block = 2 + draws + num_devices
-        rows: List[np.ndarray] = []
-        for i in members:
-            # Same shape => same task enumeration order; only the raw
-            # duration numbers differ per member (no re-lowering).
-            if schedules[i] is first:
-                raw = sim.raw_durations
-            else:
-                raw = np.array(
-                    [
-                        task.duration
-                        for tasks in schedules[i].device_tasks
-                        for task in tasks
-                    ],
-                    dtype=np.float64,
-                )
-            rows.extend(
-                _ensemble_rows(
-                    raw=raw,
-                    device=device,
-                    num_devices=num_devices,
-                    spec=base_spec,
-                    factors=factors,
-                    delays=delays,
-                    draws=draws,
-                    jitters=jitters,
-                    criticality_epsilon=criticality_epsilon,
-                )
-            )
-        matrix = np.stack(rows)
-        nominal_rows = np.arange(len(members), dtype=np.intp) * block
-        times = _execute_rows(sim, matrix, link_hops, nominal_rows)
-        for slot, i in enumerate(members):
-            report = _report_from_times(
-                spec,
-                draws,
-                times[slot * block:(slot + 1) * block],
-                num_devices,
-                criticality_epsilon,
-            )
-            reports[i] = report
-            digest = digests[i]
-            if ens_cache is not None and digest is not None:
-                ens_cache.put(digest, report)
-    # Every index either hit the cache or belongs to exactly one group.
-    assert all(report is not None for report in reports)
-    return reports  # type: ignore[return-value]
 
 
 def cluster_perturbation(

@@ -14,13 +14,15 @@ import contextlib
 import json
 import operator
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.config import require_non_negative
 from repro.content import CodecError, from_json, to_json
 from repro.core.plan import PipelinePlan
 
 FORMAT_VERSION = 1
+
+_T = TypeVar("_T")
 
 
 class PlanFormatError(ValueError):
@@ -155,9 +157,55 @@ def atomic_write_json(document: Dict[str, Any], path: str, indent: Optional[int]
         raise
 
 
+def read_json_file(
+    path: str, decode: Callable[[Dict[str, Any]], _T], error: Type[ValueError]
+) -> _T:
+    """Read one JSON object from ``path`` and decode it.
+
+    The one reader of plans, cache files and checkpoints. Every failure
+    raises the caller's ``error`` with a message that starts with
+    ``path``: a path that cannot be read (missing, a directory), invalid
+    JSON, a document that is not an object, or an ``error`` that
+    ``decode`` raises.
+    """
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise error(f"{path}: not a JSON object (got {type(document).__name__})")
+    try:
+        return decode(document)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def write_json_file(
+    document: Dict[str, Any],
+    path: str,
+    error: Type[ValueError],
+    indent: Optional[int] = None,
+) -> None:
+    """:func:`atomic_write_json`, the one writer of plans, cache files and
+    checkpoints: a path that cannot be written (a directory, a missing
+    parent) raises the caller's ``error``, naming ``path``."""
+    try:
+        atomic_write_json(document, path, indent=indent)
+    except OSError as exc:
+        raise error(f"{path}: cannot write: {exc}") from exc
+
+
 def dump_plan(plan: PipelinePlan, path: str) -> None:
-    """Write a plan document to ``path`` (write-then-rename)."""
-    atomic_write_json(plan_to_dict(plan), path, indent=2)
+    """Write a plan document to ``path`` (write-then-rename).
+
+    Raises:
+        PlanFormatError: ``path`` cannot be written; the message starts
+            with ``path``.
+    """
+    write_json_file(plan_to_dict(plan), path, PlanFormatError, indent=2)
 
 
 def load_plan(path: str) -> PipelinePlan:
@@ -168,14 +216,4 @@ def load_plan(path: str) -> PipelinePlan:
             holds a document :func:`plan_from_dict` rejects. The message
             starts with ``path``.
     """
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise PlanFormatError(f"{path}: cannot read: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise PlanFormatError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return plan_from_dict(document)
-    except PlanFormatError as exc:
-        raise PlanFormatError(f"{path}: {exc}") from exc
+    return read_json_file(path, plan_from_dict, PlanFormatError)

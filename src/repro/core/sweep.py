@@ -104,10 +104,6 @@ class SweepConfig:
         share_cache: share one stage-evaluation cache across the sweep's
             contexts (serial) or merge worker cache shards through the
             coordinator (parallel).
-        shard_size: strategies per stolen shard. ``0`` (default) sizes
-            shards adaptively — ``remaining / (2 * workers)``, floored at
-            1 — so early shards amortise dispatch overhead and the tail
-            degenerates to single-strategy steals.
         cache_max_entries: FIFO bound on each worker process's
             stage-evaluation cache (the coordinator/serial shared cache
             is unbounded unless the caller bounds the cache it passes).
@@ -116,13 +112,11 @@ class SweepConfig:
             rewritten after the sweep. Requires ``share_cache``.
         checkpoint_path: optional JSON file receiving periodic frontier
             checkpoints (completed plan documents, pruned indices,
-            incumbent, merged cache shard). A killed sweep resumes via
+            incumbent, and the merged cache shard, so a resumed sweep
+            re-plans warm). A killed sweep resumes via
             ``run_sweep(..., resume_from=checkpoint_path)``.
         checkpoint_every: completed strategies between checkpoint writes
             (the final state is always written when the sweep finishes).
-        checkpoint_cache: include the merged cache shard in checkpoints
-            so a resumed sweep re-plans warm. Disable to keep checkpoint
-            files small.
         robust_objective: statistic the final selection minimises —
             ``"nominal"`` (default: the modelled iteration time, exactly
             the classic sweep) or ``"mean"`` / ``"p95"`` / ``"worst"``
@@ -139,12 +133,10 @@ class SweepConfig:
     min_parallel: int = 4
     prune: bool = True
     share_cache: bool = True
-    shard_size: int = 0
     cache_max_entries: Optional[int] = 65536
     cache_path: Optional[str] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 8
-    checkpoint_cache: bool = True
     robust_objective: str = "nominal"
     perturbation: Optional[PerturbationSpec] = None
     robust_draws: int = 8

@@ -11,8 +11,7 @@
   stage-evaluation cache.
 * ``adapipe validate`` — the cross-implementation consistency battery.
 * ``adapipe lint`` — adalint, the domain-aware static analysis pass
-  (determinism, unit consistency, frozen mutation, transform purity,
-  float-order divergence);
+  (determinism, unit consistency, frozen mutation);
   text/JSON/SARIF reporters, ``--changed`` for git-scoped runs.
 * ``adapipe audit ...`` — differential memory audit: the Section 4.2
   model's per-stage totals vs the simulator's measured peaks, across the
@@ -29,7 +28,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.robust import ROBUST_ENGINES
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.pipeline.schedules import SCHEDULE_KINDS, schedule_family
 
@@ -180,8 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="adalint: domain-aware static analysis (determinism, unit "
-             "consistency, frozen mutation, transform purity, float op "
-             "order)",
+             "consistency, frozen mutation)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -266,11 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     robust.add_argument("--draws", type=int, default=16,
                         help="perturbation ensemble size")
-    robust.add_argument(
-        "--engine", default=None, choices=ROBUST_ENGINES,
-        help="ensemble execution path: the batched vectorized sweep "
-             "(default) or the per-draw reference oracle",
-    )
     robust.add_argument("--sigma", type=float, default=0.05,
                         help="lognormal per-task jitter sigma")
     robust.add_argument("--seed", type=int, default=0, help="jitter base seed")
@@ -437,7 +429,7 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
 
 
 def _unusable_file(exc: Exception) -> int:
-    """Report a cache or checkpoint file that cannot be used; exit code 2."""
+    """Report a plan, cache or checkpoint file that cannot be used; exit code 2."""
     if isinstance(exc.__cause__, OSError):  # missing or not a file
         print(f"error: {exc}", file=sys.stderr)
     else:
@@ -457,7 +449,7 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
     from repro.core.isomorphism import StageEvalCache
     from repro.core.orchestrator import CheckpointError
     from repro.core.search import PlannerContext
-    from repro.core.serialize import dump_plan
+    from repro.core.serialize import PlanFormatError, dump_plan
     from repro.core.sweep import SweepConfig, run_sweep
 
     if any(v is not None for v in (args.tp, args.pp, args.dp)):
@@ -526,7 +518,10 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
             print(f"simulated iteration time: {evaluation.iteration_time:.3f}s "
                   f"(bubble {evaluation.simulation.bubble_ratio:.1%})")
     if args.output:
-        dump_plan(result.best, args.output)
+        try:
+            dump_plan(result.best, args.output)
+        except PlanFormatError as exc:
+            return _unusable_file(exc)
         print(f"plan written to {args.output}")
     return 0
 
@@ -537,7 +532,7 @@ def _cmd_plan(args) -> int:
     from repro.config import TrainingConfig
     from repro.core.isomorphism import StageEvalCache
     from repro.core.search import PlannerContext, enumerate_parallel_strategies
-    from repro.core.serialize import dump_plan
+    from repro.core.serialize import PlanFormatError, dump_plan
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
@@ -624,7 +619,10 @@ def _cmd_plan(args) -> int:
         print(f"simulated iteration time: {best.iteration_time:.3f}s "
               f"(bubble {best.simulation.bubble_ratio:.1%})")
     if args.output:
-        dump_plan(best.plan, args.output)
+        try:
+            dump_plan(best.plan, args.output)
+        except PlanFormatError as exc:
+            return _unusable_file(exc)
         print(f"plan written to {args.output}")
     return 0
 
@@ -708,7 +706,10 @@ def _cmd_replan(args) -> int:
             return _unusable_file(exc)
         print(f"evaluation cache ({saved} entries) rewritten to {args.cache}")
     if args.output:
-        dump_plan(result.best, args.output)
+        try:
+            dump_plan(result.best, args.output)
+        except PlanFormatError as exc:
+            return _unusable_file(exc)
         print(f"plan written to {args.output}")
     return 0
 
@@ -815,7 +816,7 @@ def _cmd_robustness(args) -> int:
     pert = cluster_perturbation(
         cluster, schedule.num_devices, jitter_sigma=args.sigma, seed=args.seed
     )
-    report = evaluate_robustness(schedule, pert, args.draws, engine=args.engine)
+    report = evaluate_robustness(schedule, pert, args.draws)
     print(f"schedule: {args.schedule}, {schedule.num_devices} pipeline ranks")
     print(report.describe())
     worst = report.most_critical_device()

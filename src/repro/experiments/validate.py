@@ -22,17 +22,13 @@ quantity against each other:
    and the reference engine, 2BP strictly shrinking the bubble at equal
    peak memory, and fused-vs-explicit overlap lowering equivalence;
 10. adalint — the domain-aware static analysis pass over the installed
-    package (determinism, unit consistency, frozen mutation, transform
-    purity, float op order) must report zero unsuppressed findings;
+    package (determinism, unit consistency, frozen mutation) must report
+    zero unsuppressed findings;
 11. heterogeneous round trip — a homogeneous device pool must reproduce
     the poolless planner's plan bit-identically, and an elastic
     warm-started replan after a device leaves must select the same plan
     as a cold sweep on the shrunken pool while actually reusing cached
-    stage evaluations;
-12. static-analysis contracts — the interprocedural lint families must
-    still *detect*: synthesized trees with an argument-mutating transform
-    and a reassociated lowering expression each produce exactly the
-    planted finding.
+    stage evaluations.
 """
 
 from __future__ import annotations
@@ -468,106 +464,6 @@ def _check_heterogeneous() -> CheckResult:
     return ("heterogeneous round trip", ok, detail)
 
 
-def _check_static_contracts() -> CheckResult:
-    """Detection power of the interprocedural lint families (check 12).
-
-    Check 10 proves the shipped tree is *clean*; this check proves the
-    rule families still *fire* — each invariant is broken in a
-    synthesized mini-tree and the corresponding rule must report exactly
-    the planted violation.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.analysis import run_lint
-    from repro.analysis.rules import (
-        FloatOrderContract,
-        FloatOrderRule,
-        FloatSite,
-        PurityContract,
-        TransformPurityRule,
-    )
-
-    failures = []
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-
-        # 1. Purity: a transform mutating its argument one call deep.
-        (root / "purity").mkdir()
-        (root / "purity" / "transforms.py").write_text(
-            "def _stamp(out, values):\n"
-            "    out['values'] = values\n"
-            "    return out\n\n\n"
-            "def lower(spec, out):\n"
-            "    return _stamp(out, [spec])\n"
-        )
-        purity_rule = TransformPurityRule(
-            contracts=(
-                PurityContract(anchor_path="transforms.py", roots=("lower",)),
-            )
-        )
-        result = run_lint([root / "purity"], rules=[purity_rule])
-        if ["arg-mutation" in f.message for f in result.findings] != [True]:
-            failures.append(
-                f"purity probe: {[f.message for f in result.findings]}"
-            )
-
-        # 2. Float order: vector side applies delays before the factor.
-        (root / "floats").mkdir()
-        (root / "floats" / "engines.py").write_text(
-            "def scalar_lower(duration, factor, delay):\n"
-            "    duration = duration * factor\n"
-            "    duration = duration + delay\n"
-            "    return duration\n\n\n"
-            "def vector_lower(durations, factors, delays):\n"
-            "    return (durations + delays) * factors\n"
-        )
-        float_rule = FloatOrderRule(
-            contracts=(
-                FloatOrderContract(
-                    name="probe",
-                    anchor_path="engines.py",
-                    expected=("mul(dur, factor)", "add(dur, delay)"),
-                    sites=(
-                        FloatSite(
-                            path="engines.py",
-                            func="scalar_lower",
-                            roles=(
-                                ("duration", "dur"),
-                                ("factor", "factor"),
-                                ("delay", "delay"),
-                            ),
-                        ),
-                        FloatSite(
-                            path="engines.py",
-                            func="vector_lower",
-                            roles=(
-                                ("durations", "dur"),
-                                ("factors", "factor"),
-                                ("delays", "delay"),
-                            ),
-                        ),
-                    ),
-                ),
-            )
-        )
-        result = run_lint([root / "floats"], rules=[float_rule])
-        if [
-            "vector_lower" in f.message for f in result.findings
-        ] != [True]:
-            failures.append(
-                f"float-order probe: {[f.message for f in result.findings]}"
-            )
-
-    ok = not failures
-    detail = (
-        "purity and float-order probes both detect"
-        if ok
-        else "; ".join(failures)
-    )
-    return ("static-analysis contracts", ok, detail)
-
-
 CHECKS: List[Callable[[], CheckResult]] = [
     _check_knapsack,
     _check_phase_model,
@@ -580,7 +476,6 @@ CHECKS: List[Callable[[], CheckResult]] = [
     _check_schedule_families,
     _check_adalint,
     _check_heterogeneous,
-    _check_static_contracts,
 ]
 
 

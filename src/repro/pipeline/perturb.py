@@ -61,8 +61,8 @@ __all__ = [
     "TransientStall",
     "jitter_multiplier",
     "lower_spec_components",
-    "lower_spec_durations",
     "lowered_link_hops",
+    "perturb_duration",
     "perturb_schedule",
 ]
 
@@ -265,6 +265,26 @@ def _link_hops(spec: PerturbationSpec, schedule: Schedule) -> Dict[Tuple[int, in
     return hops
 
 
+def perturb_duration(duration, factor, jitter=None, delay=None):
+    """The perturbation transform: scale by the device factor, then by the
+    jitter multiplier, then add the stall delay.
+
+    This is the only place that order is written. It works elementwise on
+    Python floats and numpy arrays alike, and numpy broadcasting shares
+    work across rows: :func:`perturb_schedule` calls it per task, and the
+    robustness ensemble (``repro.core.robust``) calls it per vector —
+    with a ``(K, n)`` jitter matrix, ``duration * factor`` is computed once
+    for all K draws. ``None`` skips a step, so a jitter-free or stall-free
+    task sees exactly the operations it would without this knob.
+    """
+    scaled = duration * factor
+    if jitter is not None:
+        scaled = scaled * jitter
+    if delay is not None:
+        scaled = scaled + delay
+    return scaled
+
+
 def perturb_schedule(schedule: Schedule, spec: PerturbationSpec) -> Schedule:
     """Lower ``spec`` onto ``schedule`` as a pure duration/hop transform.
 
@@ -285,12 +305,12 @@ def perturb_schedule(schedule: Schedule, spec: PerturbationSpec) -> Schedule:
         device_stalls = stalls.get(device, {})
         perturbed = []
         for position, task in enumerate(tasks):
-            duration = task.duration * factor
-            if sigma:
-                duration *= jitter_multiplier(seed, task.key, sigma)
-            delay = device_stalls.get(position, 0.0)
-            if delay:
-                duration += delay
+            duration = perturb_duration(
+                task.duration,
+                factor,
+                jitter_multiplier(seed, task.key, sigma) if sigma else None,
+                device_stalls.get(position) or None,
+            )
             if duration == task.duration:
                 perturbed.append(task)
             else:
@@ -311,14 +331,11 @@ def perturb_schedule(schedule: Schedule, spec: PerturbationSpec) -> Schedule:
 # ---------------------------------------------------------------------------
 # Duration-only lowering: a spec as vectors against a compiled schedule.
 #
-# The batched engine (repro.pipeline.batched) never materialises perturbed
-# Schedule objects. These helpers map a spec straight onto the task arrays of
-# an existing CompiledSchedule, and are contractually bit-identical to what
-# perturb_schedule would have produced: every elementwise float64 operation
-# below is IEEE-754 double arithmetic, exactly the operation (and operation
-# *order*) the scalar transform performs per task — multiply by the device
-# factor, then by the jitter multiplier, then add the stall delay. The fuzz
-# suite in tests/test_batched.py pins the equivalence.
+# The robustness ensemble never materialises perturbed Schedule objects. These
+# helpers map a spec onto per-task vectors of an existing CompiledSchedule,
+# which perturb_duration then applies: elementwise float64 numpy arithmetic is
+# the IEEE-754 double arithmetic perturb_schedule performs per task, so the
+# rows equal its durations bit for bit (fuzz-pinned in tests/test_batched.py).
 # ---------------------------------------------------------------------------
 
 
@@ -358,30 +375,6 @@ def lower_spec_components(
                         delays[base + position] = delay
             base += len(tasks)
     return factors, delays
-
-
-def lower_spec_durations(
-    compiled: "CompiledSchedule", spec: PerturbationSpec
-) -> np.ndarray:
-    """``spec`` lowered to the perturbed per-task duration vector.
-
-    Bit-identical to the durations ``perturb_schedule(schedule, spec)``
-    would write, without building any ``Task`` or ``Schedule`` objects.
-    """
-    factors, delays = lower_spec_components(compiled, spec)
-    durations = np.asarray(compiled.duration, dtype=np.float64) * factors
-    if spec.jitter_sigma:
-        jitter = np.array(
-            [
-                jitter_multiplier(spec.seed, key, spec.jitter_sigma)
-                for key in compiled.keys
-            ],
-            dtype=np.float64,
-        )
-        durations = durations * jitter
-    if delays.any():
-        durations = durations + delays
-    return durations
 
 
 def lowered_link_hops(

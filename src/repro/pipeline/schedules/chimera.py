@@ -19,8 +19,9 @@ The scheduler weighs only the next task of each ``(pipe, stage, kind)``
 stream -- at most 4p candidates a step, ``O(T p)`` for ``T`` tasks -- and
 returns the per-device orders a scan of every pending task would
 (ALGORITHMS.md section 13.4). That equivalence needs non-negative
-durations, so a negative or NaN stage time or hop time raises
-:class:`~repro.config.ConfigError`.
+durations: :class:`~repro.pipeline.tasks.StageCosts` rejects a negative
+or NaN stage time, and a negative or NaN hop time raises
+:class:`~repro.config.ConfigError` here.
 
 ``forward_doubling=True`` models ChimeraD: pairs of micro-batches are merged
 into one forward pass (halving the number of scheduling units, doubling the
@@ -61,15 +62,9 @@ def chimera_schedule(
     if p % 2 != 0:
         raise ConfigError(f"Chimera needs an even stage count, got {p}")
     # The list scheduler's stream-order argument needs non-negative
-    # durations; inf stays legal (infeasible stage evaluations carry it).
-    for stage, costs in enumerate(stage_costs):
-        for name in ("forward", "backward"):
-            require_non_negative(
-                f"Chimera stage {stage} {name}",
-                getattr(costs, name),
-                allow_inf=True,
-                error=ConfigError,
-            )
+    # durations: StageCosts rejects a negative or NaN cost, and the hop
+    # time is checked here. inf stays legal (infeasible stage evaluations
+    # carry it).
     require_non_negative("Chimera hop_time", hop_time, allow_inf=True, error=ConfigError)
     weight = 2 if forward_doubling else 1
     if num_micro_batches % (2 * weight) != 0:

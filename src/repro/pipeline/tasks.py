@@ -13,9 +13,10 @@ on dependencies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import ConfigError, require_non_negative
 from repro.content import omit, shape_free
 
 
@@ -153,6 +154,18 @@ class StageCosts:
     activation_bytes: float = 0.0
     static_bytes: float = 0.0
     buffer_bytes: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A NaN or negative cost would run through every schedule builder
+        # and simulator as a plausible time; inf stays legal (infeasible
+        # stage evaluations carry an infinite backward).
+        for item in fields(self):
+            require_non_negative(
+                f"StageCosts.{item.name}",
+                getattr(self, item.name),
+                allow_inf=True,
+                error=ConfigError,
+            )
 
 
 @dataclass

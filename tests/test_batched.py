@@ -4,10 +4,14 @@ The batched executor's contract is *exactness*, not approximation: every
 row of a batched ensemble must equal a ``simulate_reference`` run of the
 equivalent perturbed schedule bit for bit. These tests pin that contract —
 including a differential fuzz over drawn PerturbationSpecs and every
-schedule kind — plus the ensemble-cache digest isolation and the
-shape-grouped batching of ``evaluate_robustness_many``.
+schedule kind, against the per-draw oracle
+``evaluate_robustness_reference`` — plus the one perturbation transform
+against the per-task loop it replaced, the purity of the transforms, the
+ensemble-cache digest isolation and the shape-grouped batching of
+``evaluate_robustness_many``.
 """
 
+import copy
 import random
 
 import numpy as np
@@ -19,6 +23,7 @@ from repro.core.robust import (
     ensemble_digest,
     evaluate_robustness,
     evaluate_robustness_many,
+    evaluate_robustness_reference,
     global_ensemble_cache,
 )
 from repro.pipeline.batched import BatchedSchedule, batched_simulator, shape_digest
@@ -27,8 +32,11 @@ from repro.pipeline.perturb import (
     LinkDegradation,
     PerturbationSpec,
     TransientStall,
-    lower_spec_durations,
+    _stall_delays,
+    jitter_multiplier,
+    lower_spec_components,
     lowered_link_hops,
+    perturb_duration,
     perturb_schedule,
 )
 from repro.pipeline.schedules import (
@@ -215,12 +223,12 @@ class TestExecutorExactness:
         compiled = schedule.compiled()
         sim = batched_simulator(schedule)
         draws = 3
-        rows = np.stack(
-            [
-                lower_spec_durations(compiled, spec.reseeded(k))
-                for k in range(draws)
-            ]
-        )
+        factors, delays = lower_spec_components(compiled, spec)
+        jitters = np.stack([
+            sim.jitter_vector(spec.seed + k, spec.jitter_sigma)
+            for k in range(draws)
+        ])
+        rows = perturb_duration(sim.raw_durations, factors, jitters, delays)
         hops = lowered_link_hops(spec, schedule)
         batched_times = sim.iteration_times(rows, link_hops=hops)
         for k in range(draws):
@@ -242,12 +250,8 @@ class TestExecutorExactness:
     )
     def test_fuzz_reports_identical_across_engines(self, kind, spec):
         schedule = _fuzz_schedule(kind)
-        batched = evaluate_robustness(
-            schedule, spec, draws=2, engine="batched", cache=False
-        )
-        reference = evaluate_robustness(
-            schedule, spec, draws=2, engine="reference", cache=False
-        )
+        batched = evaluate_robustness(schedule, spec, draws=2, cache=False)
+        reference = evaluate_robustness_reference(schedule, spec, draws=2)
         assert batched == reference
 
     def test_duration_matrix_shape_is_validated(self):
@@ -262,6 +266,108 @@ class TestExecutorExactness:
         assert not first.flags.writeable
         assert sim.jitter_vector(8, 0.1) is not first
         assert np.all(sim.jitter_vector(7, 0.0) == 1.0)
+
+
+def reference_perturbed_durations(schedule, spec):
+    """The per-task loop ``perturb_duration`` replaced, kept as its oracle.
+
+    Factor, then jitter, then stall delay, written out per task in
+    ``all_tasks()`` order — a jitter-free or stall-free task skips that
+    step, as ``perturb_schedule`` did.
+    """
+    stalls = _stall_delays(spec, schedule.num_devices)
+    sigma = spec.jitter_sigma
+    seed = spec.seed
+    durations = []
+    for device, tasks in enumerate(schedule.device_tasks):
+        factor = spec.factor_for(device)
+        device_stalls = stalls.get(device, {})
+        for position, task in enumerate(tasks):
+            duration = task.duration * factor
+            if sigma:
+                duration *= jitter_multiplier(seed, task.key, sigma)
+            delay = device_stalls.get(position, 0.0)
+            if delay:
+                duration += delay
+            durations.append(duration)
+    return durations
+
+
+def _bits(values):
+    return [float(value).hex() for value in values]
+
+
+class TestOneTransform:
+    """``perturb_duration`` is the only copy of the factor -> jitter ->
+    delay order: per task (``perturb_schedule``) and per vector (the
+    ensemble rows) it matches the per-task loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @given(spec=_SPEC_STRATEGY)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_transform_matches_per_task_loop(self, kind, spec):
+        schedule = _fuzz_schedule(kind)
+        expected = _bits(reference_perturbed_durations(schedule, spec))
+        perturbed = perturb_schedule(schedule, spec)
+        assert _bits(task.duration for task in perturbed.all_tasks()) == expected
+
+        sim = batched_simulator(schedule)
+        factors, delays = lower_spec_components(schedule.compiled(), spec)
+        row = perturb_duration(
+            sim.raw_durations,
+            factors,
+            sim.jitter_vector(spec.seed, spec.jitter_sigma)
+            if spec.jitter_sigma
+            else None,
+            delays if delays.any() else None,
+        )
+        assert _bits(row) == expected
+
+
+_PURITY_SCHEDULES = {}
+
+
+class TestTransformPurity:
+    """The transforms leave their inputs as they found them and answer the
+    same twice. Deep copies are compared field by field (``==``), not the
+    memoized ``Schedule.digest()``, which an in-place edit would not move."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @given(spec=_SPEC_STRATEGY)
+    @settings(
+        max_examples=10,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_transforms_leave_inputs_unchanged(self, kind, spec):
+        if kind not in _PURITY_SCHEDULES:
+            _PURITY_SCHEDULES[kind] = _builders(
+                random.Random(0xBA7C), _DEVICES, 8
+            )[kind]
+        schedule = _PURITY_SCHEDULES[kind]
+        compiled = schedule.compiled()
+        schedule_before = copy.deepcopy(schedule)
+        spec_before = copy.deepcopy(spec)
+
+        perturbed = perturb_schedule(schedule, spec)
+        factors, delays = lower_spec_components(compiled, spec)
+        hops = lowered_link_hops(spec, schedule)
+        assert schedule == schedule_before
+        assert spec == spec_before
+
+        assert perturb_schedule(schedule, spec) == perturbed
+        again_factors, again_delays = lower_spec_components(compiled, spec)
+        assert np.array_equal(again_factors, factors)
+        assert np.array_equal(again_delays, delays)
+        assert lowered_link_hops(spec, schedule) == hops
+        assert schedule == schedule_before
+        assert spec == spec_before
 
 
 class TestSharedDeterministicBaseline:
@@ -298,9 +404,7 @@ class TestSharedDeterministicBaseline:
         monkeypatch.setattr(
             robust_module, "perturb_schedule", forbidden_perturb
         )
-        report = evaluate_robustness(
-            schedule, spec, draws=4, engine="batched", cache=False
-        )
+        report = evaluate_robustness(schedule, spec, draws=4, cache=False)
         assert len(lower_calls) == 1
         assert lower_calls[0].jitter_sigma == 0.0  # the deterministic spec
         assert len(report.device_criticality) == _DEVICES
@@ -315,12 +419,8 @@ class TestSharedDeterministicBaseline:
             stalls=(TransientStall(device=2, delay=1.0, first_task=1, length=2),),
             links=(LinkDegradation(src=1, dst=2, factor=3.0, added_latency=0.1),),
         )
-        batched = evaluate_robustness(
-            schedule, spec, draws=0, engine="batched", cache=False
-        )
-        scalar = evaluate_robustness(
-            schedule, spec, draws=0, engine="reference", cache=False
-        )
+        batched = evaluate_robustness(schedule, spec, draws=0, cache=False)
+        scalar = evaluate_robustness_reference(schedule, spec, draws=0)
         assert batched.device_criticality == scalar.device_criticality
         assert batched.deterministic_time == scalar.deterministic_time
 
@@ -448,9 +548,7 @@ class TestEvaluateRobustnessMany:
         many = evaluate_robustness_many(schedules, spec, draws=4, cache=False)
         assert len(many) == len(schedules)
         for schedule, report in zip(schedules, many):
-            assert report == evaluate_robustness(
-                schedule, spec, draws=4, engine="reference", cache=False
-            )
+            assert report == evaluate_robustness_reference(schedule, spec, draws=4)
 
     def test_shape_groups_share_one_lowering(self, monkeypatch):
         import repro.core.robust as robust_module
@@ -488,18 +586,34 @@ class TestEvaluateRobustnessMany:
         second = evaluate_robustness_many(schedules, spec, draws=3, cache=cache)
         assert second == first
         assert cache.hits == 2
-        # A reference-engine pass over the same inputs agrees exactly.
-        scalar = evaluate_robustness_many(
-            schedules, spec, draws=3, engine="reference", cache=False
-        )
+        # The per-draw oracle over the same inputs agrees exactly.
+        scalar = [
+            evaluate_robustness_reference(schedule, spec, draws=3)
+            for schedule in schedules
+        ]
         assert scalar == first
 
-    def test_unknown_engine_rejected(self):
-        for engine in ("magic", "compiled"):
-            with pytest.raises(ValueError, match="robustness engine"):
-                evaluate_robustness(
-                    _fuzz_schedule("1f1b"), PerturbationSpec(), engine=engine
-                )
+    def test_lone_schedule_skips_shape_grouping(self, monkeypatch):
+        """One schedule, or one cache miss among hits, is its own group:
+        it never pays for a shape digest."""
+        import repro.core.robust as robust_module
+
+        def forbidden_digest(compiled):
+            raise AssertionError("a lone schedule needs no shape digest")
+
+        monkeypatch.setattr(robust_module, "shape_digest", forbidden_digest)
+        spec = PerturbationSpec.build({1: 1.5}, jitter_sigma=0.1, seed=2)
+        schedules = [
+            _builders(random.Random(seed), _DEVICES, 8)["1f1b"]
+            for seed in (30, 31)
+        ]
+        report = evaluate_robustness(schedules[0], spec, draws=3, cache=False)
+        assert report == evaluate_robustness_reference(schedules[0], spec, draws=3)
+        cache = SimulationCache()
+        assert evaluate_robustness(schedules[0], spec, draws=3, cache=cache) == report
+        many = evaluate_robustness_many(schedules, spec, draws=3, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert many[1] == evaluate_robustness_reference(schedules[1], spec, draws=3)
 
 
 # -- Heterogeneous device pools ---------------------------------------------
@@ -539,10 +653,6 @@ class TestHeterogeneousPoolFuzz:
         cluster = cluster_a(1).with_device_factors(factors)
         spec = cluster_perturbation(cluster, _DEVICES, jitter_sigma=jitter)
         schedule = _fuzz_schedule(kind)
-        batched = evaluate_robustness(
-            schedule, spec, draws=2, engine="batched", cache=False
-        )
-        reference = evaluate_robustness(
-            schedule, spec, draws=2, engine="reference", cache=False
-        )
+        batched = evaluate_robustness(schedule, spec, draws=2, cache=False)
+        reference = evaluate_robustness_reference(schedule, spec, draws=2)
         assert batched == reference

@@ -969,3 +969,29 @@ class TestCacheFileCli:
             assert "deleting the file" not in err
             assert not os.path.exists(f"{path}.tmp")
         assert directory.is_dir()
+
+    def test_unwritable_plan_output_exits_2(self, tmp_path, capsys):
+        """``--output DIR`` after a whole search, through each of the three
+        commands that write a plan: one line, exit 2, no ``PATH.tmp``."""
+        plan = str(tmp_path / "plan.json")
+        assert cli_main([*self.PLAN, "--output", plan]) == 0
+        capsys.readouterr()
+        directory = tmp_path / "plans"
+        directory.mkdir()
+        single = [
+            "plan", "--model", "bert-large", "--devices", "2", "--tp", "1",
+            "--pp", "2", "--dp", "1", "--memory-limit-gib", "8",
+            "--seq", "512", "--batch", "8", "--no-simulate",
+        ]
+        replan = [
+            "replan", "--plan", plan, "--model", "bert-large",
+            "--device-pool", "a100:2", "--memory-limit-gib", "8",
+        ]
+        for argv in (single, self.PLAN, replan):
+            assert cli_main([*argv, "--output", str(directory)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err
+            assert err.startswith(f"error: {directory}: cannot write: ")
+            assert "deleting the file" not in err
+            assert not os.path.exists(f"{directory}.tmp")
+        assert directory.is_dir()

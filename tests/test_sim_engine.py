@@ -8,6 +8,7 @@ with nonzero hop times, and over zero-duration costs whose equal
 timestamps exercise the memory tie-break, and compare with ``==``.
 """
 
+import dataclasses
 import math
 import random
 
@@ -248,12 +249,19 @@ class TestEngineEquivalence:
         # the minimum time). ``simulate`` says NaN, as the ensemble rows
         # do; the oracle's Python ``max`` drops a NaN or keeps it
         # depending on operand order, so it is no reference here.
+        # StageCosts rejects NaN, so the NaN enters through a Task.
         nan = float("nan")
-        costs = [
-            StageCosts(forward=1.0, backward=2.0),
-            StageCosts(forward=nan, backward=2.0),
-        ]
-        schedule = one_f_one_b_schedule(costs, 4, hop_time=0.5)
+        costs = [StageCosts(forward=1.0, backward=2.0) for _ in range(2)]
+        base = one_f_one_b_schedule(costs, 4, hop_time=0.5)
+        schedule = dataclasses.replace(base, device_tasks=[
+            [
+                dataclasses.replace(task, duration=nan)
+                if task.device == 1 and task.key.kind is TaskKind.FORWARD
+                else task
+                for task in tasks
+            ]
+            for tasks in base.device_tasks
+        ])
         assert math.isnan(simulate(schedule, cache=False).iteration_time)
         sim = batched_simulator(schedule)
         assert math.isnan(sim.iteration_times(sim.raw_durations)[0])

@@ -7,13 +7,13 @@ from repro.experiments.validate import render_validation, run_validation
 class TestValidation:
     def test_all_checks_pass(self):
         results = run_validation()
-        assert len(results) == 12
+        assert len(results) == 11
         for name, passed, detail in results:
             assert passed, f"{name}: {detail}"
 
     def test_render_marks_status(self):
         text = render_validation(run_validation())
-        assert "12/12 consistency checks passed" in text
+        assert "11/11 consistency checks passed" in text
         assert "FAIL" not in text
 
     def test_cli_exit_code(self, capsys):
