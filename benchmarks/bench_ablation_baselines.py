@@ -8,8 +8,8 @@ hopeless (DAPPLE-Non OOMs, balanced no-recompute fits).
 """
 
 from repro.baselines.extensions import (
-    evaluate_interleaved,
     plan_bpipe,
+    plan_interleaved,
     plan_sqrt_checkpoint,
 )
 from repro.config import ParallelConfig, TrainingConfig
@@ -40,7 +40,9 @@ def test_design_space_comparison(benchmark):
             plan_sqrt_checkpoint(ctx), ctx.cluster
         )
         rows["BPipe"] = evaluate_plan(plan_bpipe(ctx), ctx.cluster)
-        rows["Interleaved-Full"] = evaluate_interleaved(ctx, RecomputePolicy.FULL, 2)
+        rows["Interleaved-Full"] = evaluate_plan(
+            plan_interleaved(ctx, RecomputePolicy.FULL, 2), ctx.cluster, "interleaved"
+        )
         rows["AdaPipe"] = evaluate_plan(plan_adapipe(ctx), ctx.cluster)
         return rows
 

@@ -8,10 +8,10 @@ the combination beats both plain AdaPipe (smaller bubbles) and
 Interleaved-Full (less recomputation).
 """
 
-from repro.baselines.extensions import evaluate_interleaved
+from repro.baselines.extensions import plan_interleaved
 from repro.config import ParallelConfig, TrainingConfig
 from repro.core.evaluate import evaluate_plan
-from repro.core.interleaved_adaptive import evaluate_interleaved_adaptive
+from repro.core.interleaved_adaptive import plan_interleaved_adaptive
 from repro.core.search import PlannerContext, plan_adapipe
 from repro.core.strategies import RecomputePolicy
 from repro.hardware.cluster import cluster_a
@@ -31,8 +31,12 @@ def test_adaptive_interleaved_combination(benchmark):
     def run():
         return {
             "AdaPipe (1F1B)": evaluate_plan(plan_adapipe(ctx), ctx.cluster),
-            "Interleaved-Full": evaluate_interleaved(ctx, RecomputePolicy.FULL, 2),
-            "AdaPipe-Interleaved": evaluate_interleaved_adaptive(ctx, 2),
+            "Interleaved-Full": evaluate_plan(
+                plan_interleaved(ctx, RecomputePolicy.FULL, 2), ctx.cluster, "interleaved"
+            ),
+            "AdaPipe-Interleaved": evaluate_plan(
+                plan_interleaved_adaptive(ctx, 2), ctx.cluster, "interleaved"
+            ),
         }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -18,8 +18,8 @@ NOISE_LEVELS = (0.0, 0.02, 0.05, 0.10)
 
 def _clean_reprice(ctx: PlannerContext, plan: PipelinePlan) -> float:
     """Re-evaluate a plan's iteration time under the noise-free profiler."""
-    from repro.core.search import evaluate_fixed_partition_from_evals
     from repro.core.isomorphism import StageEval
+    from repro.core.partition_dp import phase_model_time
     from repro.profiler.memory import StageMemory
 
     evals = []
@@ -49,9 +49,7 @@ def _clean_reprice(ctx: PlannerContext, plan: PipelinePlan) -> float:
                 memory=StageMemory(0, 0, 0, 1),
             )
         )
-    return evaluate_fixed_partition_from_evals(
-        evals, ctx.num_micro_batches, ctx.hop_time
-    )
+    return phase_model_time(evals, ctx.num_micro_batches, ctx.hop_time)
 
 
 def test_noise_robustness(benchmark):

@@ -19,7 +19,6 @@ AdaPipe               adaptive + adaptive partitioning           1F1B
 """
 
 from repro.baselines.extensions import (
-    evaluate_interleaved,
     plan_bpipe,
     plan_interleaved,
     plan_sqrt_checkpoint,
@@ -38,7 +37,6 @@ __all__ = [
     "BASELINE_METHODS",
     "MethodSpec",
     "OffloadModel",
-    "evaluate_interleaved",
     "evaluate_method",
     "method_spec",
     "plan_bpipe",

@@ -25,14 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.evaluate import PlanEvaluation
 from repro.core.isomorphism import StageEval
 from repro.core.partition_dp import even_boundaries
-from repro.core.plan import PipelinePlan, StagePlan
-from repro.core.search import PlannerContext, evaluate_fixed_partition_from_evals
+from repro.core.plan import PipelinePlan, build_plan
+from repro.core.search import PlannerContext
 from repro.core.strategies import RecomputePolicy, stage_eval_for_policy
 from repro.hardware.comm import CommModel
-
 from repro.profiler.memory import StageMemory
 
 
@@ -136,15 +134,10 @@ def plan_sqrt_checkpoint(
         )
         for s, (lo, hi) in enumerate(boundaries)
     ]
-    feasible = all(e.feasible for e in evals)
-    total = (
-        evaluate_fixed_partition_from_evals(
-            evals, ctx.num_micro_batches, ctx.hop_time
-        )
-        if feasible
-        else None
+    return build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, ctx.hop_time,
     )
-    return _assemble(method, ctx, boundaries, evals, total, feasible)
 
 
 # -- BPipe-style activation balancing -----------------------------------------
@@ -215,15 +208,10 @@ def plan_bpipe(
                 memory=memory,
             )
         )
-    feasible = all(e.feasible for e in evals)
-    total = (
-        evaluate_fixed_partition_from_evals(
-            evals, ctx.num_micro_batches, ctx.hop_time
-        )
-        if feasible
-        else None
+    return build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, ctx.hop_time,
     )
-    return _assemble(method, ctx, boundaries, evals, total, feasible)
 
 
 # -- interleaved 1F1B ----------------------------------------------------------
@@ -249,62 +237,7 @@ def plan_interleaved(
         )
         for s, (lo, hi) in enumerate(boundaries)
     ]
-    return _assemble(method, ctx, boundaries, evals, None, True)
-
-
-def evaluate_interleaved(
-    ctx: PlannerContext,
-    policy: RecomputePolicy = RecomputePolicy.FULL,
-    chunks: int = 2,
-) -> PlanEvaluation:
-    """Plan + simulate an interleaved configuration.
-
-    Like :func:`repro.core.evaluate.evaluate_plan`, the returned plan's
-    metadata records whether the cross-run simulation cache replayed a
-    memoized result.
-    """
-    from repro.pipeline.schedules import interleaved_1f1b_schedule
-    from repro.pipeline.simulator import simulate_with_info
-
-    plan = plan_interleaved(ctx, policy, chunks)
-    schedule = interleaved_1f1b_schedule(
-        list(plan.stage_costs()),
-        ctx.num_micro_batches,
-        ctx.parallel.pipeline_parallel,
-        hop_time=ctx.hop_time,
-    )
-    result, sim_info = simulate_with_info(schedule)
-    oom = bool(result.oom_devices(ctx.cluster.device.usable_memory_bytes))
-    plan = plan.with_metadata(
-        sim_cache_hit=sim_info["cache_hit"],
-        sim_cache_hits=sim_info["cache_hits"],
-        sim_cache_misses=sim_info["cache_misses"],
-    )
-    return PlanEvaluation(plan=plan, simulation=result, oom=oom)
-
-
-# -- shared ---------------------------------------------------------------------
-
-
-def _assemble(method, ctx, boundaries, evals, total, feasible) -> PipelinePlan:
-    stages = tuple(
-        StagePlan(
-            stage=s,
-            layer_start=lo,
-            layer_end=hi,
-            saved_unit_counts=dict(evals[s].saved_unit_counts),
-            forward_time=evals[s].forward,
-            backward_time=evals[s].backward,
-            memory=evals[s].memory,
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    )
-    return PipelinePlan(
-        method=method,
-        parallel=ctx.parallel,
-        train=ctx.train,
-        stages=stages,
-        modeled_iteration_time=total,
-        feasible=feasible,
-        hidden_size=ctx.spec.hidden_size,
+    return build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, ctx.hop_time,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -25,15 +26,11 @@ class MethodSpec:
         name: figure label.
         planner: builds the pipeline plan from a context.
         schedule_kind: simulator schedule ("1f1b", "chimera", "chimerad").
-        memory_by_simulation: judge OOM from the simulator's memory
-            tracker instead of the planner's 1F1B model (needed for
-            Chimera, whose bidirectional replicas double static memory).
     """
 
     name: str
     planner: Callable[[PlannerContext], PipelinePlan]
     schedule_kind: str = "1f1b"
-    memory_by_simulation: bool = False
 
 
 def _policy_planner(policy: RecomputePolicy, name: str, for_chimera: bool = False):
@@ -41,16 +38,11 @@ def _policy_planner(policy: RecomputePolicy, name: str, for_chimera: bool = Fals
         plan = plan_policy(ctx, policy, name)
         if for_chimera and not plan.feasible:
             # Chimera feasibility is decided by the simulator's memory
-            # tracker (its in-flight profile differs from 1F1B); keep the
-            # plan alive so the simulation can run and judge it.
-            plan = PipelinePlan(
-                method=plan.method,
-                parallel=plan.parallel,
-                train=plan.train,
-                stages=plan.stages,
-                modeled_iteration_time=None,
-                feasible=True,
-                hidden_size=plan.hidden_size,
+            # tracker (its in-flight profile differs from 1F1B, and its
+            # bidirectional replicas double static memory); keep the plan
+            # alive so the simulation can run and judge it.
+            plan = dataclasses.replace(
+                plan, modeled_iteration_time=None, feasible=True
             )
         return plan
 
@@ -68,25 +60,21 @@ ALL_METHODS: Dict[str, MethodSpec] = {
         "Chimera-Full",
         _policy_planner(RecomputePolicy.FULL, "Chimera-Full", for_chimera=True),
         schedule_kind="chimera",
-        memory_by_simulation=True,
     ),
     "Chimera-Non": MethodSpec(
         "Chimera-Non",
         _policy_planner(RecomputePolicy.NONE, "Chimera-Non", for_chimera=True),
         schedule_kind="chimera",
-        memory_by_simulation=True,
     ),
     "ChimeraD-Full": MethodSpec(
         "ChimeraD-Full",
         _policy_planner(RecomputePolicy.FULL, "ChimeraD-Full", for_chimera=True),
         schedule_kind="chimerad",
-        memory_by_simulation=True,
     ),
     "ChimeraD-Non": MethodSpec(
         "ChimeraD-Non",
         _policy_planner(RecomputePolicy.NONE, "ChimeraD-Non", for_chimera=True),
         schedule_kind="chimerad",
-        memory_by_simulation=True,
     ),
     "Even Partitioning": MethodSpec("Even Partitioning", plan_even_partitioning),
     "AdaPipe": MethodSpec("AdaPipe", plan_adapipe),

@@ -22,9 +22,9 @@ from typing import List, Optional
 
 from repro.core.isomorphism import StageEval
 from repro.core.partition_dp import even_boundaries
-from repro.core.plan import PipelinePlan, StagePlan
+from repro.core.plan import PipelinePlan, build_plan
 from repro.core.recompute_dp import UnitItem, optimize_stage_recompute
-from repro.core.search import PlannerContext, evaluate_fixed_partition_from_evals
+from repro.core.search import PlannerContext
 from repro.profiler.memory import StageMemory
 
 DEFAULT_HOST_LINK_BANDWIDTH = 25e9  # PCIe 4.0 x16, achievable
@@ -135,30 +135,7 @@ def plan_offload(
         offload_stage_eval(ctx, s, ctx.layers[lo:hi], ctx.capacity_bytes, offload)
         for s, (lo, hi) in enumerate(boundaries)
     ]
-    feasible = all(e.feasible for e in evals)
-    total = (
-        evaluate_fixed_partition_from_evals(evals, ctx.num_micro_batches, ctx.hop_time)
-        if feasible
-        else None
-    )
-    stages = tuple(
-        StagePlan(
-            stage=s,
-            layer_start=lo,
-            layer_end=hi,
-            saved_unit_counts=dict(evals[s].saved_unit_counts),
-            forward_time=evals[s].forward,
-            backward_time=evals[s].backward,
-            memory=evals[s].memory,
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    )
-    return PipelinePlan(
-        method=method,
-        parallel=ctx.parallel,
-        train=ctx.train,
-        stages=stages,
-        modeled_iteration_time=total,
-        feasible=feasible,
-        hidden_size=ctx.spec.hidden_size,
+    return build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, ctx.hop_time,
     )

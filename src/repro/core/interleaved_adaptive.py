@@ -21,15 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.evaluate import PlanEvaluation
 from repro.core.isomorphism import StageEval
 from repro.core.partition_dp import even_boundaries
-from repro.core.plan import PipelinePlan, StagePlan
+from repro.core.plan import PipelinePlan, build_plan
 from repro.core.recompute_dp import UnitItem, optimize_stage_recompute
 from repro.core.search import PlannerContext
-from repro.pipeline.memory_audit import audit_schedule_memory
-from repro.pipeline.schedules import interleaved_1f1b_schedule
-from repro.pipeline.simulator import simulate_with_info
 from repro.profiler.memory import StageMemory, in_flight_micro_batches
 
 
@@ -155,55 +151,7 @@ def plan_interleaved_adaptive(
     for evals in device_stage_evals.values():
         for stage, eval_ in evals:
             ordered[stage] = eval_
-    feasible = all(e is not None and e.feasible for e in ordered)
-    stages = tuple(
-        StagePlan(
-            stage=s,
-            layer_start=lo,
-            layer_end=hi,
-            saved_unit_counts=dict(ordered[s].saved_unit_counts),
-            forward_time=ordered[s].forward,
-            backward_time=ordered[s].backward,
-            memory=ordered[s].memory,
-            params=sum(layer.params for layer in ctx.layers[lo:hi]),
-        )
-        for s, (lo, hi) in enumerate(boundaries)
+    return build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, ordered,
+        ctx.spec.hidden_size, ctx.hop_time,
     )
-    return PipelinePlan(
-        method=method,
-        parallel=ctx.parallel,
-        train=ctx.train,
-        stages=stages,
-        modeled_iteration_time=None,
-        feasible=feasible,
-        hidden_size=ctx.spec.hidden_size,
-    )
-
-
-def evaluate_interleaved_adaptive(
-    ctx: PlannerContext, chunks: int = 2
-) -> PlanEvaluation:
-    """Plan + simulate the adaptive interleaved configuration."""
-    plan = plan_interleaved_adaptive(ctx, chunks)
-    if not plan.feasible:
-        return PlanEvaluation(plan=plan, simulation=None, oom=True)
-    schedule = interleaved_1f1b_schedule(
-        list(plan.stage_costs()),
-        ctx.num_micro_batches,
-        ctx.parallel.pipeline_parallel,
-        hop_time=ctx.hop_time,
-    )
-    result, sim_info = simulate_with_info(schedule)
-    oom = bool(result.oom_devices(ctx.cluster.device.usable_memory_bytes))
-    audit = audit_schedule_memory(schedule, "interleaved", result=result)
-    summary = audit.summary()
-    plan = plan.with_metadata(
-        sim_cache_hit=sim_info["cache_hit"],
-        sim_cache_hits=sim_info["cache_hits"],
-        sim_cache_misses=sim_info["cache_misses"],
-        mem_model_peak_bytes=summary["modeled_peak_bytes"],
-        mem_sim_peak_bytes=summary["simulated_peak_bytes"],
-        mem_model_conservative=summary["conservative"],
-        mem_model_max_rel_gap=summary["max_rel_gap"],
-    )
-    return PlanEvaluation(plan=plan, simulation=result, oom=oom)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.isomorphism import StageEval, StageEvaluator
 
@@ -147,21 +147,31 @@ def evaluate_fixed_partition(
     num_micro_batches: int,
     hop_time: float = 0.0,
 ) -> PartitionResult:
-    """Cost-model evaluation of a *given* partition (no boundary search).
-
-    Used by Even Partitioning and the baselines: the stage layout is fixed,
-    but each stage still gets its optimal (or policy-fixed) recomputation.
-    """
-    p = len(boundaries)
-    n = num_micro_batches
+    """Cost-model evaluation of a *given* partition (no boundary search):
+    each stage still gets its optimal recomputation."""
     evals = [
         evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
     ]
     if not all(e.feasible for e in evals):
         return PartitionResult(False, math.inf, tuple(boundaries), tuple(evals))
+    total = phase_model_time(evals, num_micro_batches, hop_time)
+    return PartitionResult(True, total, tuple(boundaries), tuple(evals))
 
-    warmup = ending = 0.0
-    micro = 0.0
+
+def phase_model_time(
+    evals: Sequence[StageEval], num_micro_batches: int, hop_time: float = 0.0
+) -> float:
+    """The 1F1B phase model ``W_0 + E_0 + S_0`` of a fixed partition.
+
+    The same recurrences :func:`optimize_partition` minimises, run over
+    the given stages' evaluations: the modelled time of every
+    fixed-partition plan (Even Partitioning, the policy baselines,
+    refinement candidates).
+    """
+    p = len(evals)
+    n = num_micro_batches
+    warmup = ending = micro = 0.0
+    f_next = b_next = 0.0
     for s in range(p - 1, -1, -1):
         f = evals[s].forward + hop_time
         b = evals[s].backward + hop_time
@@ -172,8 +182,7 @@ def evaluate_fixed_partition(
             ending = b + max(ending + f_next, (p - s - 1) * b)
             micro = max(micro, f + b)
         f_next, b_next = f, b
-    total = warmup + ending + max(0, n - p) * micro
-    return PartitionResult(True, total, tuple(boundaries), tuple(evals))
+    return warmup + ending + max(0, n - p) * micro
 
 
 def even_boundaries(num_layers: int, num_stages: int) -> Tuple[Tuple[int, int], ...]:

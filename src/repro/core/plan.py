@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.config import ParallelConfig, TrainingConfig
+from repro.core.isomorphism import StageEval
+from repro.core.partition_dp import phase_model_time
+from repro.model.layers import Layer
 from repro.pipeline.tasks import StageCosts
 from repro.profiler.memory import StageMemory
 
@@ -168,6 +171,60 @@ class PipelinePlan:
                 f"bwd={stage.backward_time * 1e3:.2f}ms mem={mem_gib:.1f}GiB"
             )
         return "\n".join(lines)
+
+
+def build_plan(
+    method: str,
+    parallel: ParallelConfig,
+    train: TrainingConfig,
+    layers: Sequence[Layer],
+    boundaries: Sequence[Tuple[int, int]],
+    evals: Sequence[StageEval],
+    hidden_size: int,
+    hop_time: float = 0.0,
+    total_time: Optional[float] = None,
+) -> PipelinePlan:
+    """The one constructor of planner output.
+
+    Every planner hands its stage boundaries and their evaluations here,
+    so each stage's ``params`` is the sum over its layer range (gradient
+    sync is priced from it), and the plan is feasible when every stage is.
+    The modelled time is ``total_time`` when the caller has one (the
+    partition DP's), otherwise the fixed-partition phase model over
+    ``evals`` with ``hop_time`` added per stage; it is ``None`` for an
+    infeasible plan and for a chunked layout (more stages than pipeline
+    ranks), which the 1F1B phase model does not describe.
+    """
+    stages = tuple(
+        StagePlan(
+            stage=s,
+            layer_start=lo,
+            layer_end=hi,
+            saved_unit_counts=dict(evals[s].saved_unit_counts),
+            forward_time=evals[s].forward,
+            backward_time=evals[s].backward,
+            memory=evals[s].memory,
+            params=sum(layer.params for layer in layers[lo:hi]),
+        )
+        for s, (lo, hi) in enumerate(boundaries)
+    )
+    feasible = all(e.feasible for e in evals)
+    modeled: Optional[float] = None
+    if feasible and len(boundaries) == parallel.pipeline_parallel:
+        modeled = (
+            total_time
+            if total_time is not None
+            else phase_model_time(evals, train.num_micro_batches(parallel), hop_time)
+        )
+    return PipelinePlan(
+        method=method,
+        parallel=parallel,
+        train=train,
+        stages=stages,
+        modeled_iteration_time=modeled,
+        feasible=feasible,
+        hidden_size=hidden_size,
+    )
 
 
 def merge_unit_counts(counts: Sequence[Mapping[str, int]]) -> Dict[str, int]:

@@ -13,47 +13,13 @@ pass costs a handful of simulations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import dataclasses
+from typing import List, Tuple
 
 from repro.core.evaluate import evaluate_plan
 from repro.core.isomorphism import StageEvaluator
-from repro.core.plan import PipelinePlan, StagePlan
+from repro.core.plan import PipelinePlan, build_plan
 from repro.core.search import PlannerContext, plan_adapipe
-
-
-def _plan_from_boundaries(
-    ctx: PlannerContext,
-    evaluator: StageEvaluator,
-    boundaries: List[Tuple[int, int]],
-    method: str,
-) -> Optional[PipelinePlan]:
-    evals = []
-    for s, (lo, hi) in enumerate(boundaries):
-        eval_ = evaluator.evaluate(s, lo, hi - 1)
-        if not eval_.feasible:
-            return None
-        evals.append(eval_)
-    stages = tuple(
-        StagePlan(
-            stage=s,
-            layer_start=lo,
-            layer_end=hi,
-            saved_unit_counts=dict(evals[s].saved_unit_counts),
-            forward_time=evals[s].forward,
-            backward_time=evals[s].backward,
-            memory=evals[s].memory,
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    )
-    return PipelinePlan(
-        method=method,
-        parallel=ctx.parallel,
-        train=ctx.train,
-        stages=stages,
-        modeled_iteration_time=None,
-        feasible=True,
-        hidden_size=ctx.spec.hidden_size,
-    )
 
 
 def _boundary_moves(
@@ -93,19 +59,21 @@ def refine_partition(
     if not plan.feasible:
         return plan
     evaluator = StageEvaluator(ctx.profiler, ctx.layers, ctx.capacity_bytes)
+    hop_time = ctx.hop_time
     best_plan = plan
     best_time = evaluate_plan(plan, ctx.cluster, enforce_memory=False).iteration_time
     boundaries = [(s.layer_start, s.layer_end) for s in plan.stages]
-    improved_any = False
 
     for _ in range(max_rounds):
         round_best = None
         round_best_time = best_time
         for candidate in _boundary_moves(boundaries):
-            candidate_plan = _plan_from_boundaries(
-                ctx, evaluator, candidate, plan.method
+            candidate_plan = build_plan(
+                plan.method, ctx.parallel, ctx.train, ctx.layers, candidate,
+                [evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(candidate)],
+                ctx.spec.hidden_size, hop_time,
             )
-            if candidate_plan is None:
+            if not candidate_plan.feasible:
                 continue
             time = evaluate_plan(
                 candidate_plan, ctx.cluster, enforce_memory=False
@@ -117,19 +85,10 @@ def refine_partition(
             break
         boundaries, best_plan = round_best
         best_time = round_best_time
-        improved_any = True
 
-    if not improved_any:
+    if best_plan is plan:
         return plan
-    return PipelinePlan(
-        method=plan.method + method_suffix,
-        parallel=best_plan.parallel,
-        train=best_plan.train,
-        stages=best_plan.stages,
-        modeled_iteration_time=best_time,
-        feasible=True,
-        hidden_size=best_plan.hidden_size,
-    )
+    return dataclasses.replace(best_plan, method=plan.method + method_suffix)
 
 
 def plan_adapipe_refined(

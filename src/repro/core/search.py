@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ConfigError, ParallelConfig, TrainingConfig
-from repro.core.isomorphism import StageEval, StageEvalCache, StageEvaluator
+from repro.core.isomorphism import StageEvalCache, StageEvaluator
 from repro.core.partition_dp import (
     PartitionResult,
-    evaluate_fixed_partition,
     even_boundaries,
     optimize_partition,
 )
@@ -36,7 +35,7 @@ from repro.core.placement import (
     enumerate_placements,
     placement_metadata,
 )
-from repro.core.plan import PipelinePlan, StagePlan
+from repro.core.plan import PipelinePlan, build_plan
 from repro.core.strategies import RecomputePolicy, stage_costs_for_policy
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import DeviceSpec
@@ -179,38 +178,6 @@ class PlannerContext:
         return [classes[index] for index in placement]
 
 
-def _build_plan(
-    method: str,
-    ctx: PlannerContext,
-    boundaries: Sequence[Tuple[int, int]],
-    evals: Sequence[StageEval],
-    modeled_time: Optional[float],
-    feasible: bool,
-) -> PipelinePlan:
-    stages = tuple(
-        StagePlan(
-            stage=s,
-            layer_start=lo,
-            layer_end=hi,
-            saved_unit_counts=dict(evals[s].saved_unit_counts),
-            forward_time=evals[s].forward,
-            backward_time=evals[s].backward,
-            memory=evals[s].memory,
-            params=sum(layer.params for layer in ctx.layers[lo:hi]),
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    )
-    return PipelinePlan(
-        method=method,
-        parallel=ctx.parallel,
-        train=ctx.train,
-        stages=stages,
-        modeled_iteration_time=modeled_time,
-        feasible=feasible,
-        hidden_size=ctx.spec.hidden_size,
-    )
-
-
 def _too_many_stages_plan(method: str, ctx: PlannerContext) -> PipelinePlan:
     """The infeasible plan for ``p > L``: no non-empty partition exists."""
     return PipelinePlan(
@@ -225,14 +192,19 @@ def _too_many_stages_plan(method: str, ctx: PlannerContext) -> PipelinePlan:
     )
 
 
+def _counters(evaluator: StageEvaluator) -> Tuple[int, int, int]:
+    return evaluator.inner_dp_invocations, evaluator.cache_hits, evaluator.cache_misses
+
+
 def _attach_search_metadata(
-    plan: PipelinePlan, evaluator: StageEvaluator, started: float
+    plan: PipelinePlan, counters: Sequence[Tuple[int, int, int]], started: float
 ) -> PipelinePlan:
-    """Fold the evaluator's observability counters into the plan."""
+    """Fold the evaluators' summed observability counters into the plan."""
+    inner_dp, hits, misses = (sum(column) for column in zip(*counters))
     return plan.with_metadata(
-        inner_dp_invocations=evaluator.inner_dp_invocations,
-        eval_cache_hits=evaluator.cache_hits,
-        eval_cache_misses=evaluator.cache_misses,
+        inner_dp_invocations=inner_dp,
+        eval_cache_hits=hits,
+        eval_cache_misses=misses,
         planning_seconds=time.perf_counter() - started,  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
     )
 
@@ -240,101 +212,66 @@ def _attach_search_metadata(
 def plan_adapipe(ctx: PlannerContext, method: str = "AdaPipe") -> PipelinePlan:
     """Full AdaPipe: two-level DP over recomputation and partitioning.
 
-    On a cluster with a ``device_pool`` the search gains a placement
-    dimension: every distinct assignment of device classes to pipeline
-    ranks is planned (sharing one stage-eval cache) and the fastest
-    placement wins, first-in-lexicographic-order on ties.
+    The DP runs once per placement. A poolless cluster has the one
+    placement ``None`` (uniform pricing). A ``device_pool`` adds a
+    placement dimension: every distinct class-per-rank assignment, in
+    canonical lexicographic order, and the strictly fastest feasible one
+    wins, so ties resolve to the earliest placement, which makes the
+    choice invariant under permutations of identical pool entries. All
+    placements share ``ctx.eval_cache`` (the rank class is in every key),
+    so isomorphic stages priced once are reused everywhere. When no
+    partition fits, the plan is the even partition priced on the first
+    placement, and infeasible.
     """
     started = time.perf_counter()  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
-    if ctx.parallel.pipeline_parallel > len(ctx.layers):
+    p = ctx.parallel.pipeline_parallel
+    if p > len(ctx.layers):
         return _too_many_stages_plan(method, ctx)
+    classes: Tuple[DeviceClass, ...] = ()
+    placements: Sequence[Optional[Tuple[int, ...]]] = [None]
     if ctx.cluster.device_pool:
-        return _plan_adapipe_placed(ctx, method, started)
-    evaluator = ctx.stage_evaluator()
-    result: PartitionResult = optimize_partition(
-        evaluator,
-        ctx.parallel.pipeline_parallel,
-        ctx.num_micro_batches,
-        hop_time=ctx.hop_time,
-    )
-    if not result.feasible:
-        boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
-        evals = [
-            evaluator.evaluate(s, lo, hi - 1)
-            for s, (lo, hi) in enumerate(boundaries)
-        ]
-        plan = _build_plan(method, ctx, boundaries, evals, None, False)
-    else:
-        plan = _build_plan(
-            method, ctx, result.boundaries, result.stage_evals, result.total_time, True
+        classes = device_classes(ctx.cluster)
+        placements = enumerate_placements(classes, p)
+
+    def evaluator_for(placement: Optional[Tuple[int, ...]]) -> StageEvaluator:
+        return ctx.stage_evaluator(
+            None if placement is None else [classes[i] for i in placement]
         )
-    return _attach_search_metadata(plan, evaluator, started)
 
-
-def _plan_adapipe_placed(
-    ctx: PlannerContext, method: str, started: float
-) -> PipelinePlan:
-    """Placement-augmented AdaPipe DP for pooled clusters.
-
-    Enumerates the distinct class-per-rank placements in canonical
-    lexicographic order, runs the two-level DP under each (per-rank
-    compute scales and capacities), and keeps the strictly-fastest
-    feasible result — ties resolve to the earliest placement, which
-    makes the choice invariant under permutations of identical pool
-    entries. All placements share ``ctx.eval_cache`` (rank class is in
-    the key), so isomorphic stages priced once are reused everywhere.
-    """
-    classes = device_classes(ctx.cluster)
-    placements = enumerate_placements(classes, ctx.parallel.pipeline_parallel)
-    inner_dp = hits = misses = 0
-    best_result: Optional[PartitionResult] = None
-    best_placement: Optional[Tuple[int, ...]] = None
+    hop_time = ctx.hop_time
+    counters: List[Tuple[int, int, int]] = []
+    best: Optional[PartitionResult] = None
+    chosen = placements[0]
     for placement in placements:
-        evaluator = ctx.stage_evaluator([classes[i] for i in placement])
+        evaluator = evaluator_for(placement)
         result = optimize_partition(
-            evaluator,
-            ctx.parallel.pipeline_parallel,
-            ctx.num_micro_batches,
-            hop_time=ctx.hop_time,
+            evaluator, p, ctx.num_micro_batches, hop_time=hop_time
         )
-        inner_dp += evaluator.inner_dp_invocations
-        hits += evaluator.cache_hits
-        misses += evaluator.cache_misses
-        if result.feasible and (
-            best_result is None or result.total_time < best_result.total_time
-        ):
-            best_result = result
-            best_placement = placement
-    if best_result is None or best_placement is None:
-        fallback = placements[0]
-        evaluator = ctx.stage_evaluator([classes[i] for i in fallback])
-        boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
+        counters.append(_counters(evaluator))
+        if result.feasible and (best is None or result.total_time < best.total_time):
+            best, chosen = result, placement
+    if best is None:
+        if placement == chosen:  # the last evaluator prices the first placement:
+            counters.pop()  # reuse it, and count it after the fallback below
+        else:
+            evaluator = evaluator_for(chosen)
+        boundaries = even_boundaries(len(ctx.layers), p)
         evals = [
-            evaluator.evaluate(s, lo, hi - 1)
-            for s, (lo, hi) in enumerate(boundaries)
+            evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
         ]
-        inner_dp += evaluator.inner_dp_invocations
-        hits += evaluator.cache_hits
-        misses += evaluator.cache_misses
-        plan = _build_plan(method, ctx, boundaries, evals, None, False)
-        chosen = fallback
+        counters.append(_counters(evaluator))
+        total = None
     else:
-        plan = _build_plan(
-            method,
-            ctx,
-            best_result.boundaries,
-            best_result.stage_evals,
-            best_result.total_time,
-            True,
-        )
-        chosen = best_placement
-    return plan.with_metadata(
-        **placement_metadata(classes, chosen, len(placements)),
-        inner_dp_invocations=inner_dp,
-        eval_cache_hits=hits,
-        eval_cache_misses=misses,
-        planning_seconds=time.perf_counter() - started,  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
+        boundaries, evals, total = best.boundaries, best.stage_evals, best.total_time
+    plan = build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, total_time=total,
     )
+    if chosen is not None:
+        plan = plan.with_metadata(
+            **placement_metadata(classes, chosen, len(placements))
+        )
+    return _attach_search_metadata(plan, counters, started)
 
 
 def plan_even_partitioning(
@@ -346,18 +283,14 @@ def plan_even_partitioning(
         return _too_many_stages_plan(method, ctx)
     evaluator = ctx.stage_evaluator(ctx.canonical_placement())
     boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
-    result = evaluate_fixed_partition(
-        evaluator, boundaries, ctx.num_micro_batches, hop_time=ctx.hop_time
+    evals = [
+        evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
+    ]
+    plan = build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, ctx.hop_time,
     )
-    plan = _build_plan(
-        method,
-        ctx,
-        result.boundaries,
-        result.stage_evals,
-        result.total_time if result.feasible else None,
-        result.feasible,
-    )
-    return _attach_search_metadata(plan, evaluator, started)
+    return _attach_search_metadata(plan, [_counters(evaluator)], started)
 
 
 def plan_policy(
@@ -390,35 +323,11 @@ def plan_policy(
             else None
         ),
     )
-    result = evaluate_fixed_partition_from_evals(
-        evals, ctx.num_micro_batches, ctx.hop_time
-    )
-    feasible = all(e.feasible for e in evals)
-    plan = _build_plan(
-        method, ctx, boundaries, evals, result if feasible else None, feasible
+    plan = build_plan(
+        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
+        ctx.spec.hidden_size, ctx.hop_time,
     )
     return plan.with_metadata(planning_seconds=time.perf_counter() - started)  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
-
-
-def evaluate_fixed_partition_from_evals(
-    evals: Sequence[StageEval], num_micro_batches: int, hop_time: float
-) -> float:
-    """1F1B cost model (Section 5.1) over precomputed stage evals."""
-    p = len(evals)
-    n = num_micro_batches
-    warmup = ending = micro = 0.0
-    f_next = b_next = 0.0
-    for s in range(p - 1, -1, -1):
-        f = evals[s].forward + hop_time
-        b = evals[s].backward + hop_time
-        if s == p - 1:
-            warmup, ending, micro = f, b, f + b
-        else:
-            warmup = f + max(warmup + b_next, (p - s - 1) * f)
-            ending = b + max(ending + f_next, (p - s - 1) * b)
-            micro = max(micro, f + b)
-        f_next, b_next = f, b
-    return warmup + ending + max(0, n - p) * micro
 
 
 def enumerate_parallel_strategies(

@@ -135,16 +135,13 @@ def validate_plan(plan: PipelinePlan) -> None:
         cursor = stage.layer_end
 
 
-def atomic_write_json(document: Dict[str, Any], path: str, indent: Optional[int] = None) -> None:
-    """Encode in full, then write-then-rename.
+def atomic_write_text(text: str, path: str) -> None:
+    """Write ``text`` and a final newline to ``PATH.tmp``, then rename it
+    over ``path``.
 
-    Encoding before the temp file opens means an unencodable document
-    leaves no partial file; the rename means a kill mid-write never
-    corrupts the previous one. A failed write or rename removes
-    ``PATH.tmp`` and re-raises. Without ``indent``, ``json.dumps`` runs
-    the C encoder.
+    The rename means a kill mid-write never corrupts the previous file. A
+    failed write or rename removes ``PATH.tmp`` and re-raises.
     """
-    text = json.dumps(document, indent=indent, sort_keys=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as handle:
@@ -155,6 +152,20 @@ def atomic_write_json(document: Dict[str, Any], path: str, indent: Optional[int]
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _json_text(document: Dict[str, Any], indent: Optional[int]) -> str:
+    # Without ``indent``, ``json.dumps`` runs the C encoder.
+    return json.dumps(document, indent=indent, sort_keys=True)
+
+
+def atomic_write_json(document: Dict[str, Any], path: str, indent: Optional[int] = None) -> None:
+    """Encode in full, then :func:`atomic_write_text`.
+
+    Encoding before the temp file opens means an unencodable document
+    leaves no partial file.
+    """
+    atomic_write_text(_json_text(document, indent), path)
 
 
 def read_json_file(
@@ -183,19 +194,24 @@ def read_json_file(
         raise error(f"{path}: {exc}") from exc
 
 
+def write_text_file(text: str, path: str, error: Type[ValueError]) -> None:
+    """:func:`atomic_write_text`, the one writer of plans, cache files,
+    checkpoints and reports: a path that cannot be written (a directory, a
+    missing parent) raises the caller's ``error``, naming ``path``."""
+    try:
+        atomic_write_text(text, path)
+    except OSError as exc:
+        raise error(f"{path}: cannot write: {exc}") from exc
+
+
 def write_json_file(
     document: Dict[str, Any],
     path: str,
     error: Type[ValueError],
     indent: Optional[int] = None,
 ) -> None:
-    """:func:`atomic_write_json`, the one writer of plans, cache files and
-    checkpoints: a path that cannot be written (a directory, a missing
-    parent) raises the caller's ``error``, naming ``path``."""
-    try:
-        atomic_write_json(document, path, indent=indent)
-    except OSError as exc:
-        raise error(f"{path}: cannot write: {exc}") from exc
+    """Encode in full, then :func:`write_text_file`."""
+    write_text_file(_json_text(document, indent), path, error)
 
 
 def dump_plan(plan: PipelinePlan, path: str) -> None:

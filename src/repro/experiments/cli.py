@@ -280,10 +280,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_device_factors(pairs, num_ranks: int):
-    """``RANK=FACTOR`` strings -> a full per-rank factor tuple (or None)."""
+def _parse_device_factors(pairs, num_ranks: int, cluster):
+    """``RANK=FACTOR`` strings -> ``cluster`` with those per-rank factors.
+
+    Returns ``cluster`` unchanged when no pair is given. Malformed pairs,
+    out-of-range ranks and factors the cluster rejects (NaN, infinite,
+    zero or negative) exit with one ``error:`` line.
+    """
     if not pairs:
-        return None
+        return cluster
     factors = [1.0] * num_ranks
     for pair in pairs:
         rank_text, _, factor_text = pair.partition("=")
@@ -298,7 +303,10 @@ def _parse_device_factors(pairs, num_ranks: int):
                 f"error: rank {rank} out of range for {num_ranks} pipeline ranks"
             )
         factors[rank] = factor
-    return tuple(factors)
+    try:
+        return cluster.with_device_factors(factors)
+    except ValueError as err:
+        raise SystemExit(f"error: {err}")
 
 
 def _parse_device_pool(text: str):
@@ -378,9 +386,7 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
     )
 
     num_ranks = max(s.pipeline_parallel for s, _ in feasible)
-    factors = _parse_device_factors(args.robust_device_factor, num_ranks)
-    if factors is not None:
-        cluster = cluster.with_device_factors(factors)
+    cluster = _parse_device_factors(args.robust_device_factor, num_ranks, cluster)
     # The perturbation spec depends only on the pipeline width, so
     # strategies sharing one width share a spec and batch-evaluate
     # through evaluate_robustness_many (one vectorized sweep per shape).
@@ -429,7 +435,8 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
 
 
 def _unusable_file(exc: Exception) -> int:
-    """Report a plan, cache or checkpoint file that cannot be used; exit code 2."""
+    """Report a plan, cache, checkpoint or report file that cannot be used;
+    exit code 2."""
     if isinstance(exc.__cause__, OSError):  # missing or not a file
         print(f"error: {exc}", file=sys.stderr)
     else:
@@ -442,8 +449,13 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
     """``adapipe plan`` through the sweep orchestrator (--sweep-* flags).
 
     Work-stealing parallel planning with cache merge-back, incumbent
-    broadcast, frontier streaming, and checkpoint/resume — selecting the
-    same best plan as the legacy strategy loop (ALGORITHMS.md §12).
+    broadcast, frontier streaming, and checkpoint/resume (ALGORITHMS.md
+    §12). It selects the same best plan as the serial sweep, which need
+    not be the default loop's: the sweep ranks strategies by modelled
+    iteration time per sample, which leaves out ZeRO-1 gradient sync,
+    while the default loop (``_cmd_plan``) ranks them by simulated
+    iteration time, which includes it. For bert-large on 8 devices (seq
+    512, batch 16) the default loop picks (1,8,1) and the sweep (1,2,4).
     """
     from repro.baselines import evaluate_method
     from repro.core.isomorphism import StageEvalCache
@@ -787,6 +799,7 @@ def _cmd_robustness(args) -> int:
     from repro.core.evaluate import build_schedule_for_plan
     from repro.core.robust import cluster_perturbation, evaluate_robustness
     from repro.core.search import PlannerContext
+    from repro.core.serialize import write_json_file, write_text_file
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
@@ -794,9 +807,7 @@ def _cmd_robustness(args) -> int:
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     devices = args.tp * args.pp * args.dp
     cluster = make_cluster(max(1, devices // 8))
-    factors = _parse_device_factors(args.device_factor, args.pp)
-    if factors is not None:
-        cluster = cluster.with_device_factors(factors)
+    cluster = _parse_device_factors(args.device_factor, args.pp, cluster)
     train = TrainingConfig(sequence_length=args.seq, global_batch_size=args.batch)
     limit = (
         args.memory_limit_gib * 1024**3 if args.memory_limit_gib is not None else None
@@ -825,10 +836,11 @@ def _cmd_robustness(args) -> int:
         f"(criticality {report.device_criticality[worst]:.3f})"
     )
     if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+        document = report.to_dict()
+        try:
+            write_json_file(document, args.json, ValueError, indent=2)
+        except ValueError as exc:
+            return _unusable_file(exc)
         print(f"report written to {args.json}")
     if args.svg:
         from repro.report import heat_map
@@ -848,8 +860,10 @@ def _cmd_robustness(args) -> int:
             ],
             width=420,
         )
-        with open(args.svg, "w") as handle:
-            handle.write(svg)
+        try:
+            write_text_file(svg, args.svg, ValueError)
+        except ValueError as exc:
+            return _unusable_file(exc)
         print(f"heat map written to {args.svg}")
     return 0
 

@@ -9,6 +9,7 @@ data-parallel gradient reduction).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -63,12 +64,12 @@ class ClusterSpec:
     device_pool: Optional[Tuple[DeviceSpec, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.device_factors is not None and any(
-            factor <= 0 for factor in self.device_factors
-        ):
-            raise ValueError(
-                f"device factors must all be > 0, got {self.device_factors}"
-            )
+        for rank, factor in enumerate(self.device_factors or ()):
+            if not 0 < factor < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"device factor of rank {rank} must be finite and > 0, "
+                    f"got {factor!r}"
+                )
         if self.device_pool is not None:
             if not self.device_pool:
                 raise ValueError("device pool must name at least one device")

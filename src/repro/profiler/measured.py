@@ -164,12 +164,11 @@ def plan_with_measured_profile(
     method: str = "AdaPipe (measured)",
 ):
     """Profile the real model, then run the full two-level DP on the
-    measurements. Returns the resulting :class:`PipelinePlan`."""
+    measurements. Returns the resulting :class:`PipelinePlan`; when no
+    partition fits, the infeasible plan of the uniform partition."""
     from repro.core.isomorphism import StageEvaluator
-    from repro.core.partition_dp import optimize_partition
-    from repro.core.plan import PipelinePlan, StagePlan
-
-    from repro.core.partition_dp import even_boundaries, evaluate_fixed_partition
+    from repro.core.partition_dp import even_boundaries, optimize_partition
+    from repro.core.plan import build_plan
 
     profiler = MeasuredProfiler(model, train, parallel, iterations=iterations)
     evaluator = StageEvaluator(profiler, model.descriptors, capacity_bytes)
@@ -178,32 +177,16 @@ def plan_with_measured_profile(
         parallel.pipeline_parallel,
         train.num_micro_batches(parallel),
     )
+    boundaries, evals, total = result.boundaries, result.stage_evals, result.total_time
     if not result.feasible:
-        # Fall back to the uniform partition so callers still get a full,
-        # inspectable (infeasible) plan rather than an empty one.
-        result = evaluate_fixed_partition(
-            evaluator,
-            even_boundaries(len(model.descriptors), parallel.pipeline_parallel),
-            train.num_micro_batches(parallel),
+        # The uniform partition, so callers still get a full, inspectable
+        # (infeasible) plan rather than an empty one.
+        boundaries = even_boundaries(len(model.descriptors), parallel.pipeline_parallel)
+        evals = tuple(
+            evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
         )
-    stages = tuple(
-        StagePlan(
-            stage=s,
-            layer_start=lo,
-            layer_end=hi,
-            saved_unit_counts=dict(result.stage_evals[s].saved_unit_counts),
-            forward_time=result.stage_evals[s].forward,
-            backward_time=result.stage_evals[s].backward,
-            memory=result.stage_evals[s].memory,
-        )
-        for s, (lo, hi) in enumerate(result.boundaries)
-    )
-    return PipelinePlan(
-        method=method,
-        parallel=parallel,
-        train=train,
-        stages=stages,
-        modeled_iteration_time=result.total_time if result.feasible else None,
-        feasible=result.feasible,
-        hidden_size=model.spec.hidden_size,
+        total = None
+    return build_plan(
+        method, parallel, train, model.descriptors, boundaries, evals,
+        model.spec.hidden_size, total_time=total,
     )

@@ -29,9 +29,16 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             method_spec("MegaPipe")
 
-    def test_chimera_uses_simulation_memory(self):
-        assert method_spec("Chimera-Non").memory_by_simulation
-        assert not method_spec("DAPPLE-Full").memory_by_simulation
+    def test_chimera_uses_simulation_memory(self, gpt3):
+        """Chimera's OOM verdict is the simulator's: its planner keeps a plan
+        the 1F1B model rejects alive, where DAPPLE's reports it infeasible."""
+        train = TrainingConfig(sequence_length=16384, global_batch_size=8)
+        ctx = PlannerContext(cluster_a(8), gpt3, train, ParallelConfig(8, 8, 1))
+        dapple = method_spec("DAPPLE-Non").planner(ctx)
+        chimera = method_spec("Chimera-Non").planner(ctx)
+        assert not dapple.feasible
+        assert chimera.feasible and chimera.modeled_iteration_time is None
+        assert chimera.stages == dapple.stages
 
 
 class TestEvaluateMethod:

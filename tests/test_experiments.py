@@ -210,6 +210,48 @@ class TestCli:
         out = capsys.readouterr().out
         assert "robust objective p95 over 4 draws selects" in out
 
+    ROBUSTNESS = [
+        "robustness", "--model", "bert-large", "--seq", "512", "--batch", "16",
+        "--tp", "1", "--pp", "4", "--dp", "1", "--draws", "4",
+    ]
+
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    def test_robustness_unwritable_output_exits_2(self, flag, tmp_path, capsys):
+        """An output path that is a directory: one line, exit 2, no
+        ``PATH.tmp`` left behind."""
+        from repro.experiments.cli import main
+
+        directory = tmp_path / "reports"
+        directory.mkdir()
+        assert main([*self.ROBUSTNESS, flag, str(directory)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert err.startswith(f"error: {directory}: cannot write: ")
+        assert not (tmp_path / "reports.tmp").exists()
+        assert directory.is_dir()
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
+    def test_bad_device_factor_is_one_error_line(self, factor):
+        """NaN, infinite, zero and negative factors are input errors, named
+        by rank, for both commands that take them."""
+        from repro.experiments.cli import main
+
+        plan = [
+            "plan", "--model", "bert-large", "--seq", "512", "--batch", "16",
+            "--devices", "2", "--tp", "1", "--pp", "2", "--dp", "1",
+            "--robust-objective", "p95", "--robust-draws", "4",
+        ]
+        for argv in (
+            [*self.ROBUSTNESS, "--device-factor", f"2={factor}"],
+            [*plan, "--robust-device-factor", f"1={factor}"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            message = str(excinfo.value.code)
+            assert message.startswith("error: device factor of rank ")
+            assert "must be finite and > 0" in message
+            assert "\n" not in message
+
 
 class TestFigure3:
     @pytest.fixture(scope="class")

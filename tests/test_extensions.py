@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.extensions import (
-    evaluate_interleaved,
     plan_bpipe,
     plan_interleaved,
     plan_sqrt_checkpoint,
@@ -108,7 +107,11 @@ class TestInterleaved:
         assert len(plan.stages) == 2 * 8
 
     def test_reduces_bubble_ratio(self, pressured_ctx):
-        interleaved = evaluate_interleaved(pressured_ctx, RecomputePolicy.FULL, 2)
+        interleaved = evaluate_plan(
+            plan_interleaved(pressured_ctx, RecomputePolicy.FULL, 2),
+            pressured_ctx.cluster,
+            "interleaved",
+        )
         plain = evaluate_plan(
             plan_policy(pressured_ctx, RecomputePolicy.FULL, "DAPPLE-Full"),
             pressured_ctx.cluster,
@@ -118,5 +121,7 @@ class TestInterleaved:
     def test_oom_detection_through_simulation(self, gpt3):
         train = TrainingConfig(sequence_length=16384, global_batch_size=8)
         ctx = PlannerContext(cluster_a(8), gpt3, train, ParallelConfig(8, 8, 1))
-        evaluation = evaluate_interleaved(ctx, RecomputePolicy.NONE, 2)
+        evaluation = evaluate_plan(
+            plan_interleaved(ctx, RecomputePolicy.NONE, 2), ctx.cluster, "interleaved"
+        )
         assert evaluation.oom

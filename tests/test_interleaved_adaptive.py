@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.baselines.extensions import evaluate_interleaved
+from repro.baselines.extensions import plan_interleaved
 from repro.config import ParallelConfig, TrainingConfig
-from repro.core.interleaved_adaptive import (
-    evaluate_interleaved_adaptive,
-    plan_interleaved_adaptive,
-)
+from repro.core.evaluate import evaluate_plan
+from repro.core.interleaved_adaptive import plan_interleaved_adaptive
 from repro.core.strategies import RecomputePolicy
 from repro.core.search import PlannerContext
 from repro.hardware.cluster import cluster_a
@@ -58,13 +56,19 @@ class TestAdaptiveInterleaved:
         assert sum(saved[8:]) > sum(saved[:8])
 
     def test_beats_interleaved_full(self, ctx):
-        adaptive = evaluate_interleaved_adaptive(ctx, 2)
-        full = evaluate_interleaved(ctx, RecomputePolicy.FULL, 2)
+        adaptive = evaluate_plan(
+            plan_interleaved_adaptive(ctx, 2), ctx.cluster, "interleaved"
+        )
+        full = evaluate_plan(
+            plan_interleaved(ctx, RecomputePolicy.FULL, 2), ctx.cluster, "interleaved"
+        )
         assert adaptive.iteration_time is not None
         assert adaptive.iteration_time < full.iteration_time
 
     def test_memory_stays_within_device(self, ctx):
-        adaptive = evaluate_interleaved_adaptive(ctx, 2)
+        adaptive = evaluate_plan(
+            plan_interleaved_adaptive(ctx, 2), ctx.cluster, "interleaved"
+        )
         assert not adaptive.oom
         assert max(adaptive.simulation.device_peak_bytes) <= (
             ctx.cluster.device.usable_memory_bytes

@@ -2,9 +2,24 @@
 
 import pytest
 
+from repro.baselines.extensions import plan_bpipe, plan_interleaved, plan_sqrt_checkpoint
+from repro.baselines.offload import plan_offload
 from repro.config import ParallelConfig, TrainingConfig
+from repro.core.interleaved_adaptive import plan_interleaved_adaptive
 from repro.core.plan import PipelinePlan, StagePlan, merge_unit_counts
+from repro.core.refine import refine_partition
+from repro.core.search import (
+    PlannerContext,
+    plan_adapipe,
+    plan_even_partitioning,
+    plan_policy,
+)
+from repro.core.strategies import RecomputePolicy
+from repro.hardware.cluster import cluster_a
+from repro.model.spec import bert_large, tiny_gpt
+from repro.profiler.measured import plan_with_measured_profile
 from repro.profiler.memory import StageMemory
+from repro.training.modules import build_model
 
 
 def _stage(stage=0, lo=0, hi=4, saved=None, fwd=1.0, bwd=2.0):
@@ -78,3 +93,67 @@ class TestMergeUnitCounts:
 
     def test_empty(self):
         assert merge_unit_counts([]) == {}
+
+
+def _refined_even_partitioning(ctx):
+    even = plan_even_partitioning(ctx)
+    refined = refine_partition(ctx, even)
+    assert refined is not even  # built from a refinement candidate
+    return refined
+
+
+PLANNERS = {
+    "adapipe": plan_adapipe,
+    "even-partitioning": plan_even_partitioning,
+    "dapple-full": lambda ctx: plan_policy(ctx, RecomputePolicy.FULL, "DAPPLE-Full"),
+    "dapple-non": lambda ctx: plan_policy(ctx, RecomputePolicy.NONE, "DAPPLE-Non"),
+    "sqrt-checkpoint": plan_sqrt_checkpoint,
+    "bpipe": plan_bpipe,
+    "interleaved": lambda ctx: plan_interleaved(ctx, RecomputePolicy.FULL, 2),
+    "offload": plan_offload,
+    "interleaved-adaptive": lambda ctx: plan_interleaved_adaptive(ctx, 2),
+    "refine-candidate": _refined_even_partitioning,
+}
+
+
+def _assert_stage_params(plan, layers):
+    assert plan.stages
+    for stage in plan.stages:
+        expected = sum(layer.params for layer in layers[stage.layer_start : stage.layer_end])
+        assert expected > 0
+        assert stage.params == expected, stage.stage
+
+
+class TestEveryPlannerCarriesParams:
+    """Every planner builds its stages through ``build_plan``, so each stage's
+    ``params`` (which prices ZeRO-1 gradient sync at d > 1) is the sum over
+    its layer range."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return PlannerContext(
+            cluster_a(1),
+            bert_large(),
+            TrainingConfig(sequence_length=512, global_batch_size=16),
+            ParallelConfig(1, 4, 2),
+        )
+
+    @pytest.mark.parametrize("name", sorted(PLANNERS))
+    def test_stage_params_sum_the_layer_range(self, ctx, name):
+        _assert_stage_params(PLANNERS[name](ctx), ctx.layers)
+
+    def test_measured_profile_plan(self):
+        spec = tiny_gpt(num_layers=3, hidden_size=32, vocab_size=50)
+        train = TrainingConfig(
+            sequence_length=16,
+            global_batch_size=4,
+            micro_batch_size=1,
+            sequence_parallel=False,
+            flash_attention=False,
+        )
+        model = build_model(spec, seed=0)
+        plan = plan_with_measured_profile(
+            model, train, ParallelConfig(1, 2, 1), capacity_bytes=64 * 1024**2,
+            iterations=1,
+        )
+        _assert_stage_params(plan, model.descriptors)

@@ -1,9 +1,15 @@
 """Tests for simulator-guided partition refinement."""
 
+import pytest
 
+from repro.config import ParallelConfig, TrainingConfig
 from repro.core.evaluate import evaluate_plan
+from repro.core.isomorphism import StageEvaluator
+from repro.core.partition_dp import evaluate_fixed_partition
 from repro.core.refine import _boundary_moves, plan_adapipe_refined, refine_partition
-from repro.core.search import plan_adapipe, plan_even_partitioning
+from repro.core.search import PlannerContext, plan_adapipe, plan_even_partitioning
+from repro.hardware.cluster import cluster_a
+from repro.model.spec import bert_large
 
 
 class TestBoundaryMoves:
@@ -66,3 +72,37 @@ class TestRefinement:
         assert refined.stages[-1].layer_end == len(gpt3_ctx.layers)
         for a, b in zip(refined.stages, refined.stages[1:]):
             assert a.layer_end == b.layer_start
+
+
+class TestRefinementOnDataParallelPlans:
+    """At d > 1 every candidate carries its stages' parameter counts, so the
+    simulated times refinement compares all include ZeRO-1 gradient sync."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return PlannerContext(
+            cluster_a(1),
+            bert_large(),
+            TrainingConfig(sequence_length=512, global_batch_size=16),
+            ParallelConfig(1, 4, 2),
+        )
+
+    def test_returns_input_or_strictly_faster_new_boundaries(self, ctx):
+        base = plan_adapipe(ctx)
+        refined = refine_partition(ctx, base)
+        if refined is base:
+            return
+        assert refined.layer_counts() != base.layer_counts()
+        assert (
+            evaluate_plan(refined, ctx.cluster).iteration_time
+            < evaluate_plan(base, ctx.cluster).iteration_time
+        )
+
+    def test_refined_modeled_time_is_its_own_phase_model(self, ctx):
+        refined = refine_partition(ctx, plan_even_partitioning(ctx))
+        assert refined.method == "Even Partitioning+refine"
+        evaluator = StageEvaluator(ctx.profiler, ctx.layers, ctx.capacity_bytes)
+        boundaries = tuple((s.layer_start, s.layer_end) for s in refined.stages)
+        assert refined.modeled_iteration_time == evaluate_fixed_partition(
+            evaluator, boundaries, ctx.num_micro_batches, ctx.hop_time
+        ).total_time
