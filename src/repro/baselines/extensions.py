@@ -37,10 +37,6 @@ from repro.profiler.memory import StageMemory
 # -- sqrt(L) checkpointing ----------------------------------------------------
 
 
-def _boundary_bytes(profile) -> float:
-    return sum(u.saved_bytes for u in profile.units if u.always_saved)
-
-
 def sqrt_checkpoint_stage_eval(
     ctx: PlannerContext,
     stage: int,
@@ -68,7 +64,7 @@ def sqrt_checkpoint_stage_eval(
     backward_fixed = sum(p.time_backward for p in profiles)
     static = memory_model.static_bytes(stage_layers)
     per_layer_all_bytes = [p.saved_bytes_all for p in profiles]
-    per_layer_boundary = [_boundary_bytes(p) for p in profiles]
+    per_layer_boundary = [p.saved_bytes_always for p in profiles]
 
     candidates = (
         [segment_length]

@@ -7,7 +7,7 @@ that third option so it can be compared quantitatively:
 
 Every optional unit now has three dispositions — **save** in HBM,
 **recompute**, or **offload** over the host link. A unit not kept in HBM
-pays ``min(recompute_cost, exposed_offload_cost)`` of backward time, where
+pays ``min(recompute_time, exposed_offload_cost)`` of backward time, where
 the offload cost is its round-trip bytes over the host link minus whatever
 overlaps with compute. The keep-in-HBM knapsack then runs with *capped*
 values: AdaPipe's plain knapsack is recovered exactly when the host link is
@@ -17,13 +17,14 @@ slow (offload never wins), and a free host link collapses every value to ~0
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.isomorphism import StageEval
+from repro.core.isomorphism import StageEval, kind_counts, stage_totals
 from repro.core.partition_dp import even_boundaries
 from repro.core.plan import PipelinePlan, build_plan
-from repro.core.recompute_dp import UnitItem, optimize_stage_recompute
+from repro.core.recompute_dp import optimize_stage_recompute
 from repro.core.search import PlannerContext
 from repro.profiler.memory import StageMemory
 
@@ -56,66 +57,47 @@ def offload_stage_eval(
     capacity_bytes: float,
     offload: OffloadModel,
 ) -> StageEval:
-    """Per-stage optimum when units may be saved, recomputed, or offloaded."""
+    """Per-stage optimum when units may be saved, recomputed, or offloaded.
+
+    The stage's :func:`~repro.core.isomorphism.stage_totals` items carry
+    their eviction value instead of their recompute time: not keeping a
+    unit in HBM costs the cheaper of recompute and offload, and keeping it
+    earns exactly that much back.
+    """
     memory_model = ctx.profiler.memory
     in_flight = memory_model.in_flight(stage)
-
-    forward = 0.0
-    backward_fixed = 0.0
-    always_bytes = 0.0
-    counts = {}
-    items: dict = {}
-    evicted_cost_total = 0.0
-    for layer in stage_layers:
-        profile = ctx.profiler.profile_layer(layer.kind)
-        for unit in profile.units:
-            forward += unit.time_forward
-            backward_fixed += unit.time_backward
-            if unit.always_saved:
-                always_bytes += unit.saved_bytes
-                counts[unit.name] = counts.get(unit.name, 0) + 1
-                continue
-            # Not keeping the unit in HBM costs the cheaper of recompute
-            # and offload; keeping it earns exactly that much back.
-            eviction = min(
-                unit.time_forward, offload.exposed_cost(unit.saved_bytes)
-            )
-            evicted_cost_total += eviction
-            existing = items.get(unit.name)
-            if existing is None:
-                items[unit.name] = UnitItem(
-                    name=unit.name,
-                    value=eviction,
-                    weight_bytes=unit.saved_bytes,
-                    copies=1,
-                )
-            else:
-                items[unit.name] = UnitItem(
-                    existing.name, existing.value, existing.weight_bytes,
-                    existing.copies + 1,
-                )
+    totals = stage_totals(ctx.profiler, kind_counts(stage_layers))
+    items = [
+        dataclasses.replace(
+            item, value=min(item.value, offload.exposed_cost(item.weight_bytes))
+        )
+        for item in totals.items
+    ]
+    evicted_cost_total = sum(item.copies * item.value for item in items)
 
     static = memory_model.static_bytes(stage_layers)
     buffer = memory_model.recompute_buffer_bytes()
+    always_bytes = totals.always_bytes
     budget = capacity_bytes - static - buffer - in_flight * always_bytes
-    result = optimize_stage_recompute(list(items.values()), budget, in_flight)
+    result = optimize_stage_recompute(items, budget, in_flight)
     if not result.feasible:
         return StageEval(
             feasible=False,
-            forward=forward,
+            forward=totals.forward,
             backward=float("inf"),
             saved_unit_counts={},
             saved_bytes_per_microbatch=0.0,
             memory=StageMemory(static, buffer, always_bytes, in_flight),
         )
-    backward = backward_fixed + evicted_cost_total - result.saved_value
+    backward = totals.backward_fixed + evicted_cost_total - result.saved_value
+    counts = dict(totals.always_counts)
     for name, count in result.saved_counts.items():
         counts[name] = counts.get(name, 0) + count
     saved_bytes = always_bytes + result.saved_bytes
     memory = StageMemory(static, buffer, saved_bytes, in_flight)
     return StageEval(
         feasible=True,
-        forward=forward,
+        forward=totals.forward,
         backward=backward,
         saved_unit_counts=counts,
         saved_bytes_per_microbatch=saved_bytes,

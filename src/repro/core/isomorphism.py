@@ -23,9 +23,10 @@ strategy — reuse inner-DP solutions instead of recomputing them per
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,6 +60,87 @@ class StageEval:
     saved_unit_counts: Mapping[str, int]
     saved_bytes_per_microbatch: float
     memory: StageMemory
+
+
+#: Layer kinds in value order: the order a stage's per-kind totals are
+#: summed in and its knapsack items listed in.
+KIND_ORDER: Tuple[LayerKind, ...] = tuple(
+    sorted(LayerKind, key=lambda kind: kind.value)
+)
+
+
+@dataclass(frozen=True)
+class StageTotals:
+    """A stage's unit costs, summed from its layer-kind counts.
+
+    Attributes:
+        forward: forward time of every unit.
+        backward_fixed: backward time with every unit saved.
+        always_bytes: bytes the always-saved units pin per micro-batch.
+        always_counts: copies of each always-saved unit type.
+        items: one knapsack item per optional unit type, valued at its
+            recompute time, in kind-then-unit order (the order decides
+            knapsack ties).
+        optional_value: backward time recomputing every optional unit adds.
+    """
+
+    forward: float
+    backward_fixed: float
+    always_bytes: float
+    always_counts: Mapping[str, int]
+    items: Tuple[UnitItem, ...]
+    optional_value: float
+
+
+def kind_counts(layers: Sequence[Layer]) -> Dict[LayerKind, int]:
+    """How many layers of each kind ``layers`` holds."""
+    return dict(Counter(layer.kind for layer in layers))
+
+
+def stage_totals(profiler: Profiler, counts: Mapping[LayerKind, int]) -> StageTotals:
+    """The one aggregation of unit costs every stage pricer starts from.
+
+    A stage holding ``c`` layers of a kind costs ``c`` times that kind's
+    :class:`~repro.profiler.profiler.LayerProfile` totals, summed in
+    :data:`KIND_ORDER`; an optional unit type's item is priced by its
+    first profile. Stages with equal counts get equal bits, whatever their
+    layer order.
+    """
+    forward = 0.0
+    backward_fixed = 0.0
+    always_bytes = 0.0
+    optional_value = 0.0
+    always_counts: Dict[str, int] = {}
+    optional: Dict[str, UnitItem] = {}
+    for kind in KIND_ORDER:
+        count = counts.get(kind, 0)
+        if not count:
+            continue
+        profile: LayerProfile = profiler.profile_layer(kind)
+        forward += count * profile.time_forward
+        backward_fixed += count * profile.time_backward
+        always_bytes += count * profile.saved_bytes_always
+        optional_value += count * profile.full_recompute_extra
+        for name, copies in profile.always_saved_counts:
+            always_counts[name] = always_counts.get(name, 0) + count * copies
+        for unit, copies in profile.optional_units:
+            existing = optional.get(unit.name)
+            if existing is None:
+                optional[unit.name] = UnitItem(
+                    unit.name, unit.time_forward, unit.saved_bytes, count * copies
+                )
+            else:
+                optional[unit.name] = dataclasses.replace(
+                    existing, copies=existing.copies + count * copies
+                )
+    return StageTotals(
+        forward=forward,
+        backward_fixed=backward_fixed,
+        always_bytes=always_bytes,
+        always_counts=always_counts,
+        items=tuple(optional.values()),
+        optional_value=optional_value,
+    )
 
 
 #: Fingerprint marker for evaluators that cannot be fingerprinted (e.g.
@@ -314,11 +396,9 @@ class StageEvaluator:
         self.cache_hits = 0
         self.cache_misses = 0
         # Prefix counts per layer kind and prefix parameter sums: a range's
-        # kind counts and parameters are O(1) differences. Kinds are kept
-        # in value order, the order a stage's per-kind totals are summed
-        # and its knapsack items listed in.
+        # kind counts and parameters are O(1) differences.
         prefixes: Dict[LayerKind, List[int]] = {}
-        for kind in sorted(LayerKind, key=lambda kind: kind.value):
+        for kind in KIND_ORDER:
             prefixes[kind] = list(
                 itertools.accumulate(
                     (layer.kind == kind for layer in self.layers), initial=0
@@ -412,58 +492,27 @@ class StageEvaluator:
         return self.memory_model.recompute_buffer_bytes()
 
     def _evaluate_uncached(self, key: Tuple, i: int, j: int) -> StageEval:
-        """Price the class of ``key``: each layer kind's count times its totals.
+        """Price the class of ``key`` from its layer kinds' totals.
 
-        Totals come from :class:`~repro.profiler.profiler.LayerProfile`,
-        computed once per kind, and are summed in kind order, so every
-        member of an isomorphism class gets the same bits whatever its
-        layer order. ``i..j`` supplies only the counts of the kinds the key
-        does not carry and the parameter sum.
+        :func:`stage_totals` sums each kind's count times its totals in
+        kind order, so every member of an isomorphism class gets the same
+        bits whatever its layer order. ``i..j`` supplies only the counts
+        of the kinds the key does not carry and the parameter sum.
         """
         self.inner_dp_invocations += 1
         in_flight, _, _, _, _, scale, capacity = key
-
-        forward = 0.0
-        backward_fixed = 0.0
-        always_bytes = 0.0
-        optional_total_value = 0.0
-        always_counts: Dict[str, int] = {}
-        optional: Dict[str, UnitItem] = {}
-        for kind, prefix in self._kind_prefix:
-            count = prefix[j + 1] - prefix[i]
-            if not count:
-                continue
-            profile: LayerProfile = self.profiler.profile_layer(kind)
-            forward += count * profile.time_forward
-            backward_fixed += count * profile.time_backward
-            always_bytes += count * profile.saved_bytes_always
-            optional_total_value += count * profile.full_recompute_extra
-            for name, copies in profile.always_saved_counts:
-                always_counts[name] = always_counts.get(name, 0) + count * copies
-            for unit, copies in profile.optional_units:
-                existing = optional.get(unit.name)
-                if existing is None:
-                    optional[unit.name] = UnitItem(
-                        name=unit.name,
-                        value=unit.time_forward,
-                        weight_bytes=unit.saved_bytes,
-                        copies=count * copies,
-                    )
-                else:
-                    optional[unit.name] = UnitItem(
-                        name=existing.name,
-                        value=existing.value,
-                        weight_bytes=existing.weight_bytes,
-                        copies=existing.copies + count * copies,
-                    )
-
+        totals = stage_totals(
+            self.profiler,
+            {kind: prefix[j + 1] - prefix[i] for kind, prefix in self._kind_prefix},
+        )
+        forward = totals.forward
         static = self.memory_model.static_bytes_of_params(
             self._param_prefix[j + 1] - self._param_prefix[i]
         )
         buffer = self._buffer_bytes
-        budget = capacity - static - buffer - in_flight * always_bytes
+        budget = capacity - static - buffer - in_flight * totals.always_bytes
         result: RecomputeResult = optimize_stage_recompute(
-            list(optional.values()), budget, in_flight
+            list(totals.items), budget, in_flight
         )
         if not result.feasible:
             return StageEval(
@@ -472,10 +521,10 @@ class StageEvaluator:
                 backward=float("inf"),
                 saved_unit_counts={},
                 saved_bytes_per_microbatch=0.0,
-                memory=StageMemory(static, buffer, always_bytes, in_flight),
+                memory=StageMemory(static, buffer, totals.always_bytes, in_flight),
             )
 
-        backward = backward_fixed + optional_total_value - result.saved_value
+        backward = totals.backward_fixed + totals.optional_value - result.saved_value
         # The knapsack runs on nominal unit times: a uniform per-rank scale
         # multiplies every candidate's value identically, so the argmax is
         # scale-invariant and only the resulting stage times need scaling.
@@ -485,10 +534,10 @@ class StageEvaluator:
         if scale != 1.0:
             forward *= scale
             backward *= scale
-        saved_counts = dict(always_counts)
+        saved_counts = dict(totals.always_counts)
         for name, count in result.saved_counts.items():
             saved_counts[name] = saved_counts.get(name, 0) + count
-        saved_bytes = always_bytes + result.saved_bytes
+        saved_bytes = totals.always_bytes + result.saved_bytes
         memory = StageMemory(
             static_bytes=static,
             buffer_bytes=buffer,

@@ -141,46 +141,30 @@ def optimize_partition(
     return PartitionResult(True, root.total, tuple(boundaries), tuple(evals))
 
 
-def evaluate_fixed_partition(
-    evaluator: StageEvaluator,
-    boundaries: Tuple[Tuple[int, int], ...],
-    num_micro_batches: int,
-    hop_time: float = 0.0,
-) -> PartitionResult:
-    """Cost-model evaluation of a *given* partition (no boundary search):
-    each stage still gets its optimal recomputation."""
-    evals = [
-        evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
-    ]
-    if not all(e.feasible for e in evals):
-        return PartitionResult(False, math.inf, tuple(boundaries), tuple(evals))
-    total = phase_model_time(evals, num_micro_batches, hop_time)
-    return PartitionResult(True, total, tuple(boundaries), tuple(evals))
-
-
 def phase_model_time(
     evals: Sequence[StageEval], num_micro_batches: int, hop_time: float = 0.0
 ) -> float:
     """The 1F1B phase model ``W_0 + E_0 + S_0`` of a fixed partition.
 
-    The same recurrences :func:`optimize_partition` minimises, run over
-    the given stages' evaluations: the modelled time of every
-    fixed-partition plan (Even Partitioning, the policy baselines,
-    refinement candidates).
+    The recurrences :func:`optimize_partition` minimises, in the same
+    floating-point order: every non-final stage's forward and backward
+    carry one ``hop_time`` (its boundary's hop in each direction) and the
+    last stage none. So the DP's total equals this function of its own
+    stage evaluations bit for bit, and it is the modelled time of every
+    plan (:func:`repro.core.plan.build_plan`).
     """
     p = len(evals)
     n = num_micro_batches
-    warmup = ending = micro = 0.0
-    f_next = b_next = 0.0
-    for s in range(p - 1, -1, -1):
+    last = evals[p - 1]
+    warmup, ending = last.forward, last.backward
+    micro = warmup + ending
+    f_next, b_next = warmup, ending
+    for s in range(p - 2, -1, -1):
         f = evals[s].forward + hop_time
         b = evals[s].backward + hop_time
-        if s == p - 1:
-            warmup, ending, micro = f, b, f + b
-        else:
-            warmup = f + max(warmup + b_next, (p - s - 1) * f)
-            ending = b + max(ending + f_next, (p - s - 1) * b)
-            micro = max(micro, f + b)
+        warmup = f + max(warmup + b_next, (p - s - 1) * f)
+        ending = b + max(ending + f_next, (p - s - 1) * b)
+        micro = max(micro, f + b)
         f_next, b_next = f, b
     return warmup + ending + max(0, n - p) * micro
 

@@ -182,18 +182,18 @@ def build_plan(
     evals: Sequence[StageEval],
     hidden_size: int,
     hop_time: float = 0.0,
-    total_time: Optional[float] = None,
 ) -> PipelinePlan:
     """The one constructor of planner output.
 
     Every planner hands its stage boundaries and their evaluations here,
     so each stage's ``params`` is the sum over its layer range (gradient
     sync is priced from it), and the plan is feasible when every stage is.
-    The modelled time is ``total_time`` when the caller has one (the
-    partition DP's), otherwise the fixed-partition phase model over
-    ``evals`` with ``hop_time`` added per stage; it is ``None`` for an
-    infeasible plan and for a chunked layout (more stages than pipeline
-    ranks), which the 1F1B phase model does not describe.
+    The modelled time is the phase model over ``evals``
+    (:func:`~repro.core.partition_dp.phase_model_time`, one ``hop_time``
+    per stage boundary and direction), which for the partition DP's own
+    stages is its total bit for bit; it is ``None`` for an infeasible
+    plan and for a chunked layout (more stages than pipeline ranks),
+    which the 1F1B phase model does not describe.
     """
     stages = tuple(
         StagePlan(
@@ -211,11 +211,7 @@ def build_plan(
     feasible = all(e.feasible for e in evals)
     modeled: Optional[float] = None
     if feasible and len(boundaries) == parallel.pipeline_parallel:
-        modeled = (
-            total_time
-            if total_time is not None
-            else phase_model_time(evals, train.num_micro_batches(parallel), hop_time)
-        )
+        modeled = phase_model_time(evals, train.num_micro_batches(parallel), hop_time)
     return PipelinePlan(
         method=method,
         parallel=parallel,

@@ -17,7 +17,7 @@ import dataclasses
 from typing import List, Tuple
 
 from repro.core.evaluate import evaluate_plan
-from repro.core.isomorphism import StageEvaluator
+from repro.core.placement import device_classes
 from repro.core.plan import PipelinePlan, build_plan
 from repro.core.search import PlannerContext, plan_adapipe
 
@@ -58,7 +58,16 @@ def refine_partition(
     """
     if not plan.feasible:
         return plan
-    evaluator = StageEvaluator(ctx.profiler, ctx.layers, ctx.capacity_bytes)
+    # Candidates are priced, and simulated, on the input's placement.
+    placement = plan.metadata.get("placement")
+    if placement is not None and ctx.cluster.device_pool:
+        classes = device_classes(ctx.cluster)
+        evaluator = ctx.stage_evaluator([classes[int(i)] for i in placement])
+    else:
+        evaluator = ctx.stage_evaluator(ctx.canonical_placement())
+    placed = {
+        key: value for key, value in plan.metadata.items() if key.startswith("placement")
+    }
     hop_time = ctx.hop_time
     best_plan = plan
     best_time = evaluate_plan(plan, ctx.cluster, enforce_memory=False).iteration_time
@@ -72,7 +81,7 @@ def refine_partition(
                 plan.method, ctx.parallel, ctx.train, ctx.layers, candidate,
                 [evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(candidate)],
                 ctx.spec.hidden_size, hop_time,
-            )
+            ).with_metadata(**placed)
             if not candidate_plan.feasible:
                 continue
             time = evaluate_plan(

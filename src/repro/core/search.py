@@ -260,12 +260,11 @@ def plan_adapipe(ctx: PlannerContext, method: str = "AdaPipe") -> PipelinePlan:
             evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
         ]
         counters.append(_counters(evaluator))
-        total = None
     else:
-        boundaries, evals, total = best.boundaries, best.stage_evals, best.total_time
+        boundaries, evals = best.boundaries, best.stage_evals
     plan = build_plan(
         method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
-        ctx.spec.hidden_size, total_time=total,
+        ctx.spec.hidden_size, hop_time,
     )
     if chosen is not None:
         plan = plan.with_metadata(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Sequence
 
-from repro.core.isomorphism import StageEval
+from repro.core.isomorphism import StageEval, kind_counts, stage_totals
 from repro.model.layers import Layer
 from repro.profiler.memory import StageMemory
 from repro.profiler.profiler import Profiler
@@ -52,27 +52,25 @@ def stage_eval_for_policy(
 ) -> StageEval:
     """Evaluate a stage under a fixed (non-searched) recomputation policy.
 
+    The stage's :func:`~repro.core.isomorphism.stage_totals` are priced
+    with the policy's keep rule in place of the knapsack: a kept unit type
+    pins its bytes, a dropped one adds its recompute time to backward.
     ``compute_scale`` derates the stage's forward/backward times for a
     heterogeneous placement (1.0 = nominal device); ``capacity_bytes``
     is already the per-rank budget when the caller places stages.
     """
     memory_model = profiler.memory
-    in_flight = memory_model.in_flight(stage)
-
-    forward = 0.0
-    backward = 0.0
-    saved_bytes = 0.0
-    counts: Dict[str, int] = {}
-    for layer in stage_layers:
-        profile = profiler.profile_layer(layer.kind)
-        for unit in profile.units:
-            forward += unit.time_forward
-            backward += unit.time_backward
-            if policy.saves_unit(unit.name, unit.always_saved):
-                saved_bytes += unit.saved_bytes
-                counts[unit.name] = counts.get(unit.name, 0) + 1
-            else:
-                backward += unit.time_forward  # recompute cost
+    totals = stage_totals(profiler, kind_counts(stage_layers))
+    forward = totals.forward
+    backward = totals.backward_fixed
+    saved_bytes = totals.always_bytes
+    counts: Dict[str, int] = dict(totals.always_counts)
+    for item in totals.items:
+        if policy.saves_unit(item.name, always_saved=False):
+            saved_bytes += item.copies * item.weight_bytes
+            counts[item.name] = counts.get(item.name, 0) + item.copies
+        else:
+            backward += item.copies * item.value  # recompute cost
 
     if compute_scale != 1.0:
         # Guarded multiply: homogeneous placements stay bit-identical to
@@ -80,13 +78,11 @@ def stage_eval_for_policy(
         forward *= compute_scale
         backward *= compute_scale
 
-    static = memory_model.static_bytes(stage_layers)
-    buffer = memory_model.recompute_buffer_bytes()
     memory = StageMemory(
-        static_bytes=static,
-        buffer_bytes=buffer,
+        static_bytes=memory_model.static_bytes(stage_layers),
+        buffer_bytes=memory_model.recompute_buffer_bytes(),
         saved_per_microbatch=saved_bytes,
-        in_flight_microbatches=in_flight,
+        in_flight_microbatches=memory_model.in_flight(stage),
     )
     return StageEval(
         feasible=memory.fits(capacity_bytes),

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import ParallelConfig, TrainingConfig
-from repro.core.isomorphism import StageEvalCache
+from repro.core.isomorphism import StageEvalCache, StageTotals, kind_counts, stage_totals
 from repro.core.orchestrator import (
     PlannerRef,
     ProgressCallback,
@@ -273,27 +273,21 @@ def strategy_lower_bound(ctx: PlannerContext) -> float:
     (ALGORITHMS.md section 14); the memory floor pools the per-rank
     capacities, a placement-invariant sum.
     """
-    profiler = ctx.profiler
-    forward = 0.0
-    backward = 0.0
-    for layer in ctx.layers:
-        profile = profiler.profile_layer(layer.kind)
-        forward += profile.time_forward
-        backward += profile.time_backward
+    totals = stage_totals(ctx.profiler, kind_counts(ctx.layers))
     p = ctx.parallel.pipeline_parallel
     n = ctx.num_micro_batches
-    recompute_floor = _recompute_time_floor(ctx)
+    recompute_floor = _recompute_time_floor(ctx, totals)
     if recompute_floor == float("inf"):
         return float("inf")
     scale_floor = best_placement_scale_floor(ctx.cluster, p)
-    compute = forward + backward + recompute_floor
+    compute = totals.forward + totals.backward_fixed + recompute_floor
     if scale_floor != 1.0:
         compute *= scale_floor
     span = compute + 2.0 * (p - 1) * ctx.hop_time
     return span + max(0, n - p) * span / p
 
 
-def _recompute_time_floor(ctx: PlannerContext) -> float:
+def _recompute_time_floor(ctx: PlannerContext, totals: StageTotals) -> float:
     """Least recomputation time any feasible plan of ``ctx`` must pay.
 
     Aggregate memory argument: every stage satisfies ``static + buffer +
@@ -306,10 +300,11 @@ def _recompute_time_floor(ctx: PlannerContext) -> float:
     budget must be shed, and the fractional greedy (largest
     bytes-per-second first) lower-bounds the forward time recomputing
     them adds to the backward pass. Returns ``inf`` when the static floor
-    alone exceeds the pooled capacity (provably infeasible).
+    alone exceeds the pooled capacity (provably infeasible). ``totals``
+    are the whole model's; a unit type's copies shed at one rate, so each
+    optional item is one greedy entry.
     """
-    profiler = ctx.profiler
-    memory = profiler.memory
+    memory = ctx.profiler.memory
     p = ctx.parallel.pipeline_parallel
     pooled = pool_capacity_sum(ctx.cluster, p)
     if pooled is None:
@@ -319,17 +314,13 @@ def _recompute_time_floor(ctx: PlannerContext) -> float:
         - memory.static_bytes(ctx.layers)
         - p * memory.recompute_buffer_bytes()
     )
-    always = 0.0
-    optional_bytes = 0.0
-    items: List[Tuple[float, float]] = []  # (recompute seconds, bytes)
-    for layer in ctx.layers:
-        for unit in profiler.profile_layer(layer.kind).units:
-            if unit.always_saved:
-                always += unit.saved_bytes
-            elif unit.saved_bytes > 0:
-                optional_bytes += unit.saved_bytes
-                items.append((unit.time_forward, unit.saved_bytes))
-    budget -= always
+    items = [  # (recompute seconds, bytes)
+        (item.copies * item.value, item.copies * item.weight_bytes)
+        for item in totals.items
+        if item.weight_bytes > 0
+    ]
+    optional_bytes = sum(size for _, size in items)
+    budget -= totals.always_bytes
     if budget < 0:
         return float("inf")
     excess = optional_bytes - budget

@@ -323,12 +323,12 @@ def _parse_device_pool(text: str):
         try:
             count = int(count_text) if count_text else 1
             slowdown = float(slow_text) if slow_text else 1.0
-            device = device_preset(base)
+            device = derated(device_preset(base), slowdown)
         except ValueError as err:
             raise SystemExit(f"error: --device-pool: {err}")
         if count < 1:
             raise SystemExit(f"error: --device-pool count must be >= 1 in {part!r}")
-        pool.extend([derated(device, slowdown)] * count)
+        pool.extend([device] * count)
     if not pool:
         raise SystemExit("error: --device-pool names no devices")
     return tuple(pool)
@@ -456,8 +456,11 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
     while the default loop (``_cmd_plan``) ranks them by simulated
     iteration time, which includes it. For bert-large on 8 devices (seq
     512, batch 16) the default loop picks (1,8,1) and the sweep (1,2,4).
+    A method whose schedule is not 1F1B (the Chimera family) exits 2: the
+    phase model and the sweep's lower bound describe 1F1B only.
     """
     from repro.baselines import evaluate_method
+    from repro.baselines.methods import method_spec
     from repro.core.isomorphism import StageEvalCache
     from repro.core.orchestrator import CheckpointError
     from repro.core.search import PlannerContext
@@ -472,6 +475,12 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
         print("error: the sweep orchestrator ranks by the nominal modelled "
               "time; use `adapipe plan` without --sweep-* flags for robust "
               "objectives", file=sys.stderr)
+        return 2
+    kind = method_spec(args.method).schedule_kind
+    if kind != "1f1b":
+        print(f"error: the sweep orchestrator ranks by the 1F1B phase model, "
+              f"but {args.method} runs a {kind} schedule; use `adapipe plan` "
+              f"without --sweep-* flags", file=sys.stderr)
         return 2
 
     progress = None
@@ -597,7 +606,7 @@ def _cmd_plan(args) -> int:
     best_strategy = None
     feasible = []
     cache = StageEvalCache()
-    inner_dp_total = 0
+    inner_dp_total = hits = misses = 0
     started = time.time()  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
     for strategy in strategies:
         ctx = PlannerContext(
@@ -605,9 +614,10 @@ def _cmd_plan(args) -> int:
             eval_cache=cache,
         )
         evaluation = evaluate_method(args.method, ctx)
-        inner_dp_total += int(
-            evaluation.plan.metadata.get("inner_dp_invocations", 0)
-        )
+        metadata = evaluation.plan.metadata
+        inner_dp_total += int(metadata.get("inner_dp_invocations", 0))
+        hits += int(metadata.get("eval_cache_hits", 0))
+        misses += int(metadata.get("eval_cache_misses", 0))
         if evaluation.iteration_time is None:
             continue
         feasible.append((strategy, evaluation))
@@ -624,9 +634,11 @@ def _cmd_plan(args) -> int:
         best, best_strategy = _robust_select(args, cluster, feasible, best_strategy)
 
     print(best.plan.describe())
+    # Evaluator-level hits over the searched plans, as SweepStats counts.
+    hit_rate = hits / (hits + misses) if hits + misses else 0.0
     print(f"\nbest strategy: {best_strategy} (search took {elapsed:.1f}s, "
           f"{inner_dp_total} inner-DP invocations, eval-cache hit rate "
-          f"{cache.hit_rate:.0%})")
+          f"{hit_rate:.0%})")
     if not args.no_simulate:
         print(f"simulated iteration time: {best.iteration_time:.3f}s "
               f"(bubble {best.simulation.bubble_ratio:.1%})")

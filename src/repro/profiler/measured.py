@@ -177,7 +177,7 @@ def plan_with_measured_profile(
         parallel.pipeline_parallel,
         train.num_micro_batches(parallel),
     )
-    boundaries, evals, total = result.boundaries, result.stage_evals, result.total_time
+    boundaries, evals = result.boundaries, result.stage_evals
     if not result.feasible:
         # The uniform partition, so callers still get a full, inspectable
         # (infeasible) plan rather than an empty one.
@@ -185,8 +185,7 @@ def plan_with_measured_profile(
         evals = tuple(
             evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
         )
-        total = None
     return build_plan(
         method, parallel, train, model.descriptors, boundaries, evals,
-        model.spec.hidden_size, total_time=total,
+        model.spec.hidden_size,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import ParallelConfig, TrainingConfig
 from repro.model.layers import Layer, LayerKind
@@ -155,20 +155,6 @@ class MemoryModel:
                     buffer += self.unit_saved_bytes(unit)
         return buffer
 
-    def saved_bytes_per_microbatch(
-        self,
-        layers: Sequence[Layer],
-        saved_units: Iterable[ComputationUnit],
-    ) -> float:
-        """Intermediates one micro-batch pins in this stage.
-
-        ``saved_units`` are the units (across all the stage's layers) whose
-        outputs are preserved — always-saved units must be included by the
-        caller.
-        """
-        del layers  # sizes already baked into the units
-        return sum(self.unit_saved_bytes(unit) for unit in saved_units)
-
     def in_flight(self, stage: int) -> int:
         """Micro-batches stage ``s`` keeps live under ``schedule_kind``.
 
@@ -183,20 +169,6 @@ class MemoryModel:
             self.parallel.pipeline_parallel,
             self.num_micro_batches,
             num_devices=self.parallel.pipeline_parallel,
-        )
-
-    def stage_memory(
-        self,
-        stage: int,
-        layers: Sequence[Layer],
-        saved_units: Iterable[ComputationUnit],
-    ) -> StageMemory:
-        """Full memory breakdown of stage ``s`` holding ``layers``."""
-        return StageMemory(
-            static_bytes=self.static_bytes(layers),
-            buffer_bytes=self.recompute_buffer_bytes(),
-            saved_per_microbatch=self.saved_bytes_per_microbatch(layers, saved_units),
-            in_flight_microbatches=self.in_flight(stage),
         )
 
     def intermediate_budget(

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.config import ParallelConfig, TrainingConfig, require_non_negative
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.comm import CommModel
-from repro.model.layers import Layer, LayerKind
+from repro.model.layers import LayerKind
 from repro.model.spec import ModelSpec
 from repro.model.units import ComputationUnit, units_for_layer
 from repro.profiler.memory import MemoryModel
@@ -61,18 +61,13 @@ class UnitProfile:
     def always_saved(self) -> bool:
         return self.unit.always_saved
 
-    @property
-    def recompute_cost(self) -> float:
-        """Extra backward-pass time when this unit is recomputed."""
-        return self.time_forward
-
 
 @dataclass(frozen=True)
 class LayerProfile:
     """All unit profiles of one layer, with totals computed once.
 
     A stage holding ``c`` layers of this kind costs ``c`` times each
-    total, which is how :class:`~repro.core.isomorphism.StageEvaluator`
+    total, which is how :func:`~repro.core.isomorphism.stage_totals`
     prices a stage without walking its layers.
     """
 
@@ -171,10 +166,6 @@ class Profiler:
         if kind not in self._cache:
             self._cache[kind] = self._build(kind)
         return self._cache[kind]
-
-    def profile_layers(self, layers: Sequence[Layer]) -> List[LayerProfile]:
-        """Profiles for a concrete layer sequence, in order."""
-        return [self.profile_layer(layer.kind) for layer in layers]
 
     def _build(self, kind: LayerKind) -> LayerProfile:
         device = self.cluster.device

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.config import ConfigError
+from repro.config import ConfigError, ParallelConfig, TrainingConfig
 
 
 class TestRegistry:
@@ -251,6 +251,77 @@ class TestCli:
             assert message.startswith("error: device factor of rank ")
             assert "must be finite and > 0" in message
             assert "\n" not in message
+
+    @pytest.mark.parametrize("slowdown", ["nan", "inf", "0", "-1"])
+    def test_bad_device_pool_slowdown_is_one_error_line(self, slowdown, tmp_path):
+        """A NaN, infinite, zero or negative ``*SLOWDOWN`` in a device pool
+        is an input error, for both commands that take a pool."""
+        from repro.core.search import PlannerContext, plan_adapipe
+        from repro.core.serialize import dump_plan
+        from repro.experiments.cli import main
+        from repro.hardware.cluster import cluster_a
+        from repro.model.spec import bert_large
+
+        plan_path = tmp_path / "plan.json"
+        dump_plan(
+            plan_adapipe(PlannerContext(
+                cluster_a(1), bert_large(),
+                TrainingConfig(sequence_length=512, global_batch_size=8),
+                ParallelConfig(1, 2, 1),
+            )),
+            str(plan_path),
+        )
+        pool = f"a100*{slowdown},a100"
+        for argv in (
+            ["plan", "--model", "bert-large", "--seq", "512", "--batch", "8",
+             "--devices", "2", "--tp", "1", "--pp", "2", "--dp", "1",
+             "--device-pool", pool],
+            ["replan", "--model", "bert-large", "--plan", str(plan_path),
+             "--device-pool", pool],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            message = str(excinfo.value.code)
+            assert message.startswith("error: --device-pool: ")
+            assert "slowdown must be finite and > 0" in message
+            assert "\n" not in message
+
+    def test_plan_hit_rate_counts_evaluator_hits(self, capsys, tmp_path):
+        """The default loop's hit rate is the searched plans' evaluator
+        hits over their lookups, as SweepStats counts them."""
+        import json
+
+        from repro.experiments.cli import main
+
+        path = tmp_path / "plan.json"
+        assert main([
+            "plan", "--model", "bert-large", "--devices", "2", "--tp", "1",
+            "--pp", "2", "--dp", "1", "--seq", "512", "--batch", "8",
+            "--no-simulate", "--output", str(path),
+        ]) == 0
+        metadata = json.loads(path.read_text())["metadata"]
+        hits = metadata["eval_cache_hits"]
+        rate = hits / (hits + metadata["eval_cache_misses"])
+        assert rate > 0.5
+        assert f"eval-cache hit rate {rate:.0%})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "method", ["Chimera-Full", "Chimera-Non", "ChimeraD-Full", "ChimeraD-Non"]
+    )
+    def test_sweep_rejects_methods_not_scheduled_1f1b(self, method, capsys):
+        """The sweep ranks by the 1F1B phase model, and its bound is not
+        admissible for Chimera: one error line, exit 2, no planning."""
+        from repro.experiments.cli import main
+
+        assert main([
+            "plan", "--model", "gpt3-175b", "--devices", "64", "--method",
+            method, "--no-simulate", "--sweep-workers", "1",
+        ]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert method in err
+        assert "best strategy" not in captured.out
 
 
 class TestFigure3:

@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.offload import OffloadModel, offload_stage_eval
 from repro.config import ParallelConfig, TrainingConfig
 from repro.core import isomorphism
+from repro.core.interleaved_adaptive import plan_interleaved_adaptive
 from repro.core.isomorphism import RANGE_KEY_FIELDS, StageEval, StageEvaluator
 from repro.core.recompute_dp import (
     RecomputeResult,
     UnitItem,
     optimize_stage_recompute,
 )
+from repro.core.partition_dp import even_boundaries
 from repro.core.search import PlannerContext
+from repro.core.strategies import RecomputePolicy, stage_eval_for_policy
 from repro.hardware.cluster import cluster_a
 from repro.model.spec import bert_large, gpt3_175b, llama2_70b
-from repro.profiler.memory import StageMemory
+from repro.profiler.memory import StageMemory, in_flight_micro_batches
 from repro.profiler.profiler import LayerProfile
 
 
@@ -323,3 +327,271 @@ class TestClosedFormOracle:
                 b.forward.hex(),
                 b.backward.hex(),
             )
+
+
+# -- the other pricers' per-layer loops, kept as oracles -----------------------
+
+
+def reference_policy_eval(
+    profiler, stage: int, stage_layers, policy, capacity_bytes: float, compute_scale: float
+) -> StageEval:
+    """The per-layer loop ``stage_eval_for_policy`` replaced."""
+    memory_model = profiler.memory
+    in_flight = memory_model.in_flight(stage)
+    forward = 0.0
+    backward = 0.0
+    saved_bytes = 0.0
+    counts: Dict[str, int] = {}
+    for layer in stage_layers:
+        profile = profiler.profile_layer(layer.kind)
+        for unit in profile.units:
+            forward += unit.time_forward
+            backward += unit.time_backward
+            if policy.saves_unit(unit.name, unit.always_saved):
+                saved_bytes += unit.saved_bytes
+                counts[unit.name] = counts.get(unit.name, 0) + 1
+            else:
+                backward += unit.time_forward  # recompute cost
+    if compute_scale != 1.0:
+        forward *= compute_scale
+        backward *= compute_scale
+    memory = StageMemory(
+        static_bytes=memory_model.static_bytes(stage_layers),
+        buffer_bytes=memory_model.recompute_buffer_bytes(),
+        saved_per_microbatch=saved_bytes,
+        in_flight_microbatches=in_flight,
+    )
+    return StageEval(
+        feasible=memory.fits(capacity_bytes),
+        forward=forward,
+        backward=backward,
+        saved_unit_counts=counts,
+        saved_bytes_per_microbatch=saved_bytes,
+        memory=memory,
+    )
+
+
+def reference_offload_eval(
+    ctx: PlannerContext, stage: int, stage_layers, capacity_bytes: float, offload
+) -> StageEval:
+    """The per-layer loop ``offload_stage_eval`` replaced. It lists the
+    knapsack items from the stage's first layer on, so isomorphic stages
+    can resolve knapsack ties differently."""
+    memory_model = ctx.profiler.memory
+    in_flight = memory_model.in_flight(stage)
+    forward = 0.0
+    backward_fixed = 0.0
+    always_bytes = 0.0
+    counts: Dict[str, int] = {}
+    items: Dict[str, UnitItem] = {}
+    evicted_cost_total = 0.0
+    for layer in stage_layers:
+        profile = ctx.profiler.profile_layer(layer.kind)
+        for unit in profile.units:
+            forward += unit.time_forward
+            backward_fixed += unit.time_backward
+            if unit.always_saved:
+                always_bytes += unit.saved_bytes
+                counts[unit.name] = counts.get(unit.name, 0) + 1
+                continue
+            eviction = min(unit.time_forward, offload.exposed_cost(unit.saved_bytes))
+            evicted_cost_total += eviction
+            existing = items.get(unit.name)
+            if existing is None:
+                items[unit.name] = UnitItem(unit.name, eviction, unit.saved_bytes, 1)
+            else:
+                items[unit.name] = UnitItem(
+                    existing.name, existing.value, existing.weight_bytes,
+                    existing.copies + 1,
+                )
+    static = memory_model.static_bytes(stage_layers)
+    buffer = memory_model.recompute_buffer_bytes()
+    budget = capacity_bytes - static - buffer - in_flight * always_bytes
+    result = optimize_stage_recompute(list(items.values()), budget, in_flight)
+    if not result.feasible:
+        return StageEval(
+            False, forward, float("inf"), {}, 0.0,
+            StageMemory(static, buffer, always_bytes, in_flight),
+        )
+    for name, count in result.saved_counts.items():
+        counts[name] = counts.get(name, 0) + count
+    saved_bytes = always_bytes + result.saved_bytes
+    return StageEval(
+        True,
+        forward,
+        backward_fixed + evicted_cost_total - result.saved_value,
+        counts,
+        saved_bytes,
+        StageMemory(static, buffer, saved_bytes, in_flight),
+    )
+
+
+def reference_interleaved_adaptive(ctx: PlannerContext, chunks: int) -> List[StageEval]:
+    """The per-layer loop ``plan_interleaved_adaptive`` replaced: per device,
+    one knapsack over its chunks' units, listed layer by layer."""
+    p = ctx.parallel.pipeline_parallel
+    boundaries = even_boundaries(len(ctx.layers), chunks * p)
+    in_flight = [
+        max(1, in_flight_micro_batches(
+            "interleaved", stage, chunks * p, ctx.num_micro_batches, num_devices=p
+        ))
+        for stage in range(chunks * p)
+    ]
+    memory_model = ctx.profiler.memory
+    buffer = memory_model.recompute_buffer_bytes()
+    ordered: List[StageEval] = [None] * (chunks * p)  # type: ignore[list-item]
+    for device in range(p):
+        stages = [chunk * p + device for chunk in range(chunks)]
+        items: Dict[Tuple[int, str], UnitItem] = {}
+        forward = {s: 0.0 for s in stages}
+        backward_fixed = {s: 0.0 for s in stages}
+        optional_value = {s: 0.0 for s in stages}
+        always_bytes = {s: 0.0 for s in stages}
+        counts: Dict[int, Dict[str, int]] = {s: {} for s in stages}
+        static_total = 0.0
+        for stage in stages:
+            lo, hi = boundaries[stage]
+            static_total += memory_model.static_bytes(ctx.layers[lo:hi])
+            for layer in ctx.layers[lo:hi]:
+                for unit in ctx.profiler.profile_layer(layer.kind).units:
+                    forward[stage] += unit.time_forward
+                    backward_fixed[stage] += unit.time_backward
+                    if unit.always_saved:
+                        always_bytes[stage] += unit.saved_bytes
+                        counts[stage][unit.name] = counts[stage].get(unit.name, 0) + 1
+                        continue
+                    optional_value[stage] += unit.time_forward
+                    existing = items.get((stage, unit.name))
+                    items[(stage, unit.name)] = (
+                        UnitItem(
+                            f"s{stage}:{unit.name}", unit.time_forward,
+                            unit.saved_bytes * in_flight[stage], 1,
+                        )
+                        if existing is None
+                        else UnitItem(
+                            existing.name, existing.value, existing.weight_bytes,
+                            existing.copies + 1,
+                        )
+                    )
+        budget = ctx.capacity_bytes - static_total - buffer - sum(
+            always_bytes[s] * in_flight[s] for s in stages
+        )
+        result = optimize_stage_recompute(list(items.values()), budget, in_flight=1)
+        for stage in stages:
+            lo, hi = boundaries[stage]
+            saved_value = 0.0
+            saved_bytes = always_bytes[stage]
+            stage_counts = dict(counts[stage])
+            if result.feasible:
+                for (item_stage, unit_name), item in items.items():
+                    kept = result.saved_counts.get(item.name, 0)
+                    if item_stage == stage and kept:
+                        stage_counts[unit_name] = stage_counts.get(unit_name, 0) + kept
+                        saved_value += item.value * kept
+                        saved_bytes += (item.weight_bytes / in_flight[stage]) * kept
+            ordered[stage] = StageEval(
+                result.feasible,
+                forward[stage],
+                backward_fixed[stage] + optional_value[stage] - saved_value,
+                stage_counts,
+                saved_bytes,
+                StageMemory(
+                    memory_model.static_bytes(ctx.layers[lo:hi]),
+                    buffer / chunks,
+                    saved_bytes,
+                    in_flight[stage],
+                ),
+            )
+    return ordered
+
+
+def _assert_same_times(got: StageEval, want: StageEval) -> None:
+    assert got.memory.in_flight_microbatches == want.memory.in_flight_microbatches
+    for name in ("forward", "backward"):
+        assert _close(getattr(got, name), getattr(want, name)), name
+    for name in ("static_bytes", "buffer_bytes"):
+        assert _close(getattr(got.memory, name), getattr(want.memory, name)), name
+
+
+class TestPricersMatchTheirPerLayerLoops:
+    """Every pricer starts from ``stage_totals``; each against the per-layer
+    loop it replaced."""
+
+    @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_policies(self, model, data):
+        """Feasibility, memory and saved counts exactly; times to 1e-12."""
+        ctx, stage, i, j, _, _ = data.draw(_stage_ranges(model))
+        policy = data.draw(st.sampled_from(list(RecomputePolicy)))
+        capacity = data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) * ctx.capacity_bytes
+        scale = data.draw(st.sampled_from([1.0, 0.8, 1.3]))
+        stage_layers = ctx.layers[i : j + 1]
+        got = stage_eval_for_policy(
+            ctx.profiler, stage, stage_layers, policy, capacity, scale
+        )
+        want = reference_policy_eval(
+            ctx.profiler, stage, stage_layers, policy, capacity, scale
+        )
+        assert got.feasible == want.feasible
+        assert got.memory == want.memory
+        assert got.saved_bytes_per_microbatch == want.saved_bytes_per_microbatch
+        assert got.saved_unit_counts == want.saved_unit_counts
+        for name in ("forward", "backward"):
+            assert _close(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_offload(self, model, data):
+        """Feasibility and times; saved counts may differ only on knapsack
+        ties, where both choices fit and earn the same value."""
+        ctx, stage, i, j, _, _ = data.draw(_stage_ranges(model))
+        offload = OffloadModel(
+            bandwidth=data.draw(st.sampled_from([1e8, 5e9, 25e9, 1e12])),
+            overlap_fraction=data.draw(st.sampled_from([0.0, 0.5, 0.9])),
+        )
+        capacity = data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) * ctx.capacity_bytes
+        stage_layers = ctx.layers[i : j + 1]
+        got = offload_stage_eval(ctx, stage, stage_layers, capacity, offload)
+        want = reference_offload_eval(ctx, stage, stage_layers, capacity, offload)
+        assert got.feasible == want.feasible
+        _assert_same_times(got, want)
+        if got.feasible and got.saved_unit_counts != want.saved_unit_counts:
+            assert got.memory.fits(capacity) and want.memory.fits(capacity)
+
+    @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_adaptive(self, model, data):
+        """Feasibility, forward times and each device's backward total. A
+        knapsack tie may move a saved unit between two chunks of a device
+        (``attn.norm`` and ``ffn.norm`` cost the same), so a stage's
+        backward time is compared only where its saved counts agree."""
+        base = _oracle_context(model)
+        chunks = data.draw(st.sampled_from([1, 2, 3]))
+        share = data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+        ctx = PlannerContext(
+            base.cluster, base.spec, base.train, base.parallel,
+            memory_limit_bytes=share * base.capacity_bytes,
+        )
+        plan = plan_interleaved_adaptive(ctx, chunks=chunks)
+        want = reference_interleaved_adaptive(ctx, chunks)
+        assert plan.feasible == all(e.feasible for e in want)
+        p = ctx.parallel.pipeline_parallel
+        for device in range(p):
+            stages = range(device, chunks * p, p)
+            assert _close(
+                sum(plan.stages[s].backward_time for s in stages),
+                sum(want[s].backward for s in stages),
+            )
+            for s in stages:
+                got = plan.stages[s]
+                assert _close(got.forward_time, want[s].forward)
+                assert got.memory.static_bytes == want[s].memory.static_bytes
+                assert got.memory.buffer_bytes == want[s].memory.buffer_bytes
+                assert got.memory.in_flight_microbatches == (
+                    want[s].memory.in_flight_microbatches
+                )
+                if dict(got.saved_unit_counts) == dict(want[s].saved_unit_counts):
+                    assert _close(got.backward_time, want[s].backward)

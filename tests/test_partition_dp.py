@@ -1,5 +1,6 @@
 """Tests for Algorithm 1 (adaptive partitioning)."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,12 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.isomorphism import StageEval
+from repro.config import ParallelConfig, TrainingConfig
+from repro.core.isomorphism import StageEval, StageEvalCache
 from repro.core.partition_dp import (
-    evaluate_fixed_partition,
     even_boundaries,
     optimize_partition,
+    phase_model_time,
 )
+from repro.core.placement import device_classes, enumerate_placements
+from repro.core.plan import build_plan
+from repro.core.search import PlannerContext, plan_adapipe
+from repro.hardware.cluster import cluster_a
+from repro.hardware.device import a100_80gb, ascend910_32gb, derated
+from repro.model.layers import Layer, LayerKind
+from repro.model.spec import bert_large
 from repro.pipeline.schedules import one_f_one_b_schedule
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts
@@ -54,9 +63,21 @@ class FakeEvaluator:
         )
 
 
-def _brute_force(evaluator, p, n):
+def _fixed_evals(evaluator, bounds):
+    return [evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(bounds)]
+
+
+def _fixed_total(evaluator, bounds, n, hop_time=0.0):
+    """The phase-model time of a given partition; ``inf`` when a stage OOMs."""
+    evals = _fixed_evals(evaluator, bounds)
+    if not all(e.feasible for e in evals):
+        return math.inf
+    return phase_model_time(evals, n, hop_time)
+
+
+def _brute_force(evaluator, p, n, hop_time=0.0):
     """Exhaustive search over all contiguous partitions, using the same
-    cost recurrences via evaluate_fixed_partition."""
+    cost recurrences via phase_model_time."""
     L = evaluator.num_layers
     best = math.inf
     best_bounds = None
@@ -65,9 +86,9 @@ def _brute_force(evaluator, p, n):
             (lo, hi)
             for lo, hi in zip((0,) + cuts, cuts + (L,))
         )
-        result = evaluate_fixed_partition(evaluator, bounds, n)
-        if result.feasible and result.total_time < best:
-            best = result.total_time
+        total = _fixed_total(evaluator, bounds, n, hop_time)
+        if total < best:
+            best = total
             best_bounds = bounds
     return best, best_bounds
 
@@ -106,7 +127,7 @@ class TestCostModelExactness:
         """The Section 5.1 model is exact for homogeneous 1F1B pipelines."""
         evaluator = FakeEvaluator([f] * p, [b] * p, p)
         bounds = even_boundaries(p, p)
-        modeled = evaluate_fixed_partition(evaluator, bounds, n).total_time
+        modeled = _fixed_total(evaluator, bounds, n)
         costs = [StageCosts(forward=f, backward=b) for _ in range(p)]
         simulated = simulate(one_f_one_b_schedule(costs, n)).iteration_time
         assert modeled == pytest.approx(simulated)
@@ -115,9 +136,7 @@ class TestCostModelExactness:
         f = [1.0, 1.5, 0.8, 1.2]
         b = [2.0, 2.5, 1.9, 2.2]
         evaluator = FakeEvaluator(f, b, 4)
-        modeled = evaluate_fixed_partition(
-            evaluator, even_boundaries(4, 4), 8
-        ).total_time
+        modeled = _fixed_total(evaluator, even_boundaries(4, 4), 8)
         costs = [StageCosts(forward=fi, backward=bi) for fi, bi in zip(f, b)]
         simulated = simulate(one_f_one_b_schedule(costs, 8)).iteration_time
         assert modeled == pytest.approx(simulated, rel=0.1)
@@ -133,8 +152,8 @@ class TestOptimizePartition:
     def test_result_total_is_self_consistent(self):
         evaluator = FakeEvaluator([1.0, 2.0, 1.0, 3.0, 1.0, 1.0], [2.0] * 6, 3)
         result = optimize_partition(evaluator, 3, 6)
-        replay = evaluate_fixed_partition(evaluator, result.boundaries, 6)
-        assert result.total_time == pytest.approx(replay.total_time)
+        replay = _fixed_total(evaluator, result.boundaries, 6)
+        assert result.total_time == pytest.approx(replay)
 
     def test_matches_brute_force_on_small_instances(self):
         cases = [
@@ -142,10 +161,10 @@ class TestOptimizePartition:
             ([1.0, 1.0, 5.0, 1.0, 1.0], [2.0, 2.0, 10.0, 2.0, 2.0], 2, 6),
             ([3.0, 1.0, 1.0, 1.0, 1.0, 3.0], [6.0, 2.0, 2.0, 2.0, 2.0, 6.0], 3, 8),
         ]
-        for f, b, p, n in cases:
+        for (f, b, p, n), hop in itertools.product(cases, (0.0, 0.1, 0.5, 2.0)):
             evaluator = FakeEvaluator(f, b, p)
-            result = optimize_partition(evaluator, p, n)
-            best, _ = _brute_force(evaluator, p, n)
+            result = optimize_partition(evaluator, p, n, hop_time=hop)
+            best, _ = _brute_force(evaluator, p, n, hop)
             assert result.total_time == pytest.approx(best)
 
     @given(
@@ -162,9 +181,10 @@ class TestOptimizePartition:
         )
         b = [2 * x for x in f]
         n = data.draw(st.integers(min_value=p, max_value=2 * p + 4))
+        hop = data.draw(st.sampled_from([0.0, 0.05, 0.4, 2.0]))
         evaluator = FakeEvaluator(f, b, p)
-        result = optimize_partition(evaluator, p, n)
-        best, _ = _brute_force(evaluator, p, n)
+        result = optimize_partition(evaluator, p, n, hop_time=hop)
+        best, _ = _brute_force(evaluator, p, n, hop)
         # Algorithm 1 is a heuristic DP ("near-optimal"): never better than
         # the exhaustive optimum. On dominant-layer instances in this draw
         # domain (e.g. f=[0.1, 0.1, 5.0, 0.1], p=3, n=3) the heuristic
@@ -211,15 +231,95 @@ class TestFixedPartitionEvaluation:
     def test_infeasible_stage_poisons_partition(self):
         evaluator = FakeEvaluator([1.0] * 6, [2.0] * 6, 3, capacity=3)
         bounds = ((0, 4), (4, 5), (5, 6))  # stage 0: 4 layers x 3 in-flight > 3
-        result = evaluate_fixed_partition(evaluator, bounds, 6)
-        assert not result.feasible
+        layers = [Layer(LayerKind.FFN, index, index, 1) for index in range(6)]
+        plan = build_plan(
+            "fixed", ParallelConfig(1, 3, 1),
+            TrainingConfig(sequence_length=8, global_batch_size=6), layers,
+            bounds, _fixed_evals(evaluator, bounds), hidden_size=8,
+        )
+        assert not plan.feasible
+        assert plan.modeled_iteration_time is None
 
     def test_hop_time_increases_total(self):
         evaluator = FakeEvaluator([1.0] * 4, [2.0] * 4, 2)
         bounds = even_boundaries(4, 2)
-        base = evaluate_fixed_partition(evaluator, bounds, 4).total_time
-        slowed = evaluate_fixed_partition(evaluator, bounds, 4, hop_time=0.5).total_time
+        base = _fixed_total(evaluator, bounds, 4)
+        slowed = _fixed_total(evaluator, bounds, 4, hop_time=0.5)
         assert slowed > base
+
+    def test_hop_rides_on_every_stage_but_the_last(self):
+        """One hop per stage boundary and direction: each non-final stage's
+        forward and backward carry it, the last stage sends nothing on."""
+        f, b, hop = [1.0, 1.5, 0.8, 1.2], [2.0, 2.5, 1.9, 2.2], 0.25
+        evals = _fixed_evals(FakeEvaluator(f, b, 4), even_boundaries(4, 4))
+        hopped = [
+            dataclasses.replace(e, forward=e.forward + hop, backward=e.backward + hop)
+            for e in evals[:-1]
+        ] + evals[-1:]
+        assert phase_model_time(evals, 8, hop) == phase_model_time(hopped, 8)
+        single = _fixed_evals(FakeEvaluator([1.0], [2.0], 1), ((0, 1),))
+        assert phase_model_time(single, 8, hop) == phase_model_time(single, 8)
+
+
+class TestOnePhaseModel:
+    """The partition DP and :func:`phase_model_time` are one model: the DP's
+    total is the phase model of its own stages, bit for bit."""
+
+    @given(
+        data=st.data(),
+        p=st.integers(min_value=1, max_value=4),
+        hop=st.sampled_from([0.0, 0.05, 0.3, 1.7]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dp_total_is_phase_model_of_its_stages(self, data, p, hop):
+        L = data.draw(st.integers(min_value=p, max_value=7))
+        f = data.draw(
+            st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=L, max_size=L)
+        )
+        b = data.draw(
+            st.lists(st.floats(min_value=0.1, max_value=9.0), min_size=L, max_size=L)
+        )
+        n = data.draw(st.integers(min_value=1, max_value=3 * p + 2))
+        result = optimize_partition(FakeEvaluator(f, b, p), p, n, hop_time=hop)
+        assert result.feasible
+        assert result.total_time == phase_model_time(result.stage_evals, n, hop)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["poolless", "pooled"])
+    def test_planned_dp_total_is_phase_model_of_its_stages(self, pooled):
+        """Real stage evaluations at the cluster's hop, on every placement,
+        and the modelled time plan_adapipe reports for the winner."""
+        cluster = cluster_a(1)
+        if pooled:
+            a100 = a100_80gb()
+            cluster = cluster.with_device_pool(
+                (a100, derated(a100, 1.3), a100, ascend910_32gb())
+            )
+        ctx = PlannerContext(
+            cluster,
+            bert_large(),
+            TrainingConfig(sequence_length=2048, global_batch_size=16),
+            ParallelConfig(1, 4, 1),
+            memory_limit_bytes=2 * 1024**3,
+            eval_cache=StageEvalCache(),
+        )
+        n, hop = ctx.num_micro_batches, ctx.hop_time
+        assert hop > 0
+        placements = [None]
+        if pooled:
+            classes = device_classes(cluster)
+            placements = [
+                [classes[i] for i in placement]
+                for placement in enumerate_placements(classes, 4)
+            ]
+        totals = []
+        for placement in placements:
+            result = optimize_partition(
+                ctx.stage_evaluator(placement), 4, n, hop_time=hop
+            )
+            assert result.feasible
+            assert result.total_time == phase_model_time(result.stage_evals, n, hop)
+            totals.append(result.total_time)
+        assert plan_adapipe(ctx).modeled_iteration_time == min(totals)
 
 
 class TestModelSimulatorConsistency:
@@ -244,9 +344,7 @@ class TestModelSimulatorConsistency:
         )
         n = data.draw(st.integers(min_value=p, max_value=3 * p + 2))
         evaluator = FakeEvaluator(f, b, p)
-        modeled = evaluate_fixed_partition(
-            evaluator, even_boundaries(p, p), n
-        ).total_time
+        modeled = _fixed_total(evaluator, even_boundaries(p, p), n)
         costs = [StageCosts(forward=fi, backward=bi) for fi, bi in zip(f, b)]
         simulated = simulate(one_f_one_b_schedule(costs, n)).iteration_time
         # The phase decomposition is optimistic when one stage is far
@@ -277,9 +375,7 @@ class TestModelSimulatorConsistency:
         b = [2.0 * base_f * j for j in jitter]
         n = data.draw(st.integers(min_value=p, max_value=3 * p + 2))
         evaluator = FakeEvaluator(f, b, p)
-        modeled = evaluate_fixed_partition(
-            evaluator, even_boundaries(p, p), n
-        ).total_time
+        modeled = _fixed_total(evaluator, even_boundaries(p, p), n)
         costs = [StageCosts(forward=fi, backward=bi) for fi, bi in zip(f, b)]
         simulated = simulate(one_f_one_b_schedule(costs, n)).iteration_time
         assert modeled == pytest.approx(simulated, rel=0.03)

@@ -1,14 +1,19 @@
 """Tests for simulator-guided partition refinement."""
 
+from unittest import mock
+
 import pytest
 
 from repro.config import ParallelConfig, TrainingConfig
+from repro.core import refine
 from repro.core.evaluate import evaluate_plan
 from repro.core.isomorphism import StageEvaluator
-from repro.core.partition_dp import evaluate_fixed_partition
+from repro.core.partition_dp import phase_model_time
+from repro.core.placement import device_classes
 from repro.core.refine import _boundary_moves, plan_adapipe_refined, refine_partition
 from repro.core.search import PlannerContext, plan_adapipe, plan_even_partitioning
 from repro.hardware.cluster import cluster_a
+from repro.hardware.device import a100_80gb, ascend910_32gb, derated
 from repro.model.spec import bert_large
 
 
@@ -102,7 +107,47 @@ class TestRefinementOnDataParallelPlans:
         refined = refine_partition(ctx, plan_even_partitioning(ctx))
         assert refined.method == "Even Partitioning+refine"
         evaluator = StageEvaluator(ctx.profiler, ctx.layers, ctx.capacity_bytes)
-        boundaries = tuple((s.layer_start, s.layer_end) for s in refined.stages)
-        assert refined.modeled_iteration_time == evaluate_fixed_partition(
-            evaluator, boundaries, ctx.num_micro_batches, ctx.hop_time
-        ).total_time
+        evals = [
+            evaluator.evaluate(s.stage, s.layer_start, s.layer_end - 1)
+            for s in refined.stages
+        ]
+        assert refined.modeled_iteration_time == phase_model_time(
+            evals, ctx.num_micro_batches, ctx.hop_time
+        )
+
+
+class TestRefinementOnAPool:
+    """On a device pool, candidates are priced and simulated on the input
+    plan's placement, and the refined plan keeps it."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        a100 = a100_80gb()
+        pool = (a100, a100, derated(a100, 1.5), ascend910_32gb())
+        return PlannerContext(
+            cluster_a(1).with_device_pool(pool),
+            bert_large(),
+            TrainingConfig(sequence_length=2048, global_batch_size=16),
+            ParallelConfig(1, 4, 1),
+        )
+
+    def test_candidates_are_priced_as_placed(self, ctx):
+        base = plan_adapipe(ctx)
+        placed = {k: v for k, v in base.metadata.items() if k.startswith("placement")}
+        assert placed["placement_scales"] != [1.0] * 4  # a mixed placement
+        classes = device_classes(ctx.cluster)
+        evaluator = ctx.stage_evaluator([classes[i] for i in placed["placement"]])
+        with mock.patch.object(refine, "evaluate_plan", wraps=evaluate_plan) as spy:
+            refined = refine_partition(ctx, base)
+        candidates = [call.args[0] for call in spy.call_args_list[1:]]
+        assert candidates
+        for plan in [refined, *candidates]:
+            assert {k: plan.metadata[k] for k in placed} == placed
+            for stage in plan.stages:
+                want = evaluator.evaluate(
+                    stage.stage, stage.layer_start, stage.layer_end - 1
+                )
+                assert (stage.forward_time, stage.backward_time) == (
+                    want.forward,
+                    want.backward,
+                )
