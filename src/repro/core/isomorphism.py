@@ -6,10 +6,13 @@ and sub-sequence, which naively means O(pL^2) inner-DP runs. But transformer
 layer sequences are homogeneous: two sub-sequences with the same layer-kind
 multiset (same Attention/FFN counts, same embedding/head membership) are
 isomorphic and share one inner-DP solution. Caching on that key reduces the
-inner-DP invocations to O(pL), as the paper observes. A class is priced
-from its kind counts alone — count times a per-kind total, summed in a
-fixed kind order — so it costs O(kinds) plus the knapsack, and every
-member of a class gets the same bits whatever its layer order.
+inner-DP invocations to O(pL), as the paper observes.
+:meth:`StageEvaluator.evaluate_ranges` takes all of a stage's candidates
+at once and looks each class up once, so the DP's lookups are O(pL) too.
+A class is priced from its kind counts alone — count times a per-kind
+total, summed in a fixed kind order — so it costs O(kinds) plus the
+knapsack, and every member of a class gets the same bits whatever its
+layer order.
 
 The same observation extends *across* evaluators: two strategies whose
 profiles agree (same model, workload, cluster, tensor- and data-parallel
@@ -29,6 +32,8 @@ import itertools
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.recompute_dp import (
     RecomputeResult,
@@ -486,6 +491,44 @@ class StageEvaluator:
         if self.shared_cache is not None:
             self.shared_cache.put(self._fingerprint + key, cached)
         return cached
+
+    @functools.cached_property
+    def _class_codes(self) -> np.ndarray:
+        """The range half of :meth:`_key` (first, last, attention and FFN
+        counts) as one int per range: row ``i``, column ``j`` for ``i <= j``.
+        The whole sequence, row 0 and column ``L - 1``, has the largest."""
+        att = np.asarray(self._att_prefix)
+        ffn = np.asarray(self._ffn_prefix)
+        codes = (att[None, 1:] - att[:-1, None]) * (ffn[-1] + 1)
+        codes += ffn[None, 1:] - ffn[:-1, None]
+        codes *= 4
+        codes[0, :] += 2
+        codes[:, -1] += 1
+        return codes
+
+    def evaluate_ranges(
+        self, stage: int, starts: np.ndarray, ends: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Forward, backward and feasibility of layers ``starts[k]..ends[k]``
+        (inclusive) as stage ``stage``, for every ``k``.
+
+        The same as calling :meth:`evaluate` on each range in turn, counters
+        and cache traffic included: each isomorphism class is evaluated once,
+        at the first range of it, in the order the ranges first meet it, and
+        every later member counts the cache hit its own call would have been.
+        """
+        codes = self._class_codes[starts, ends]
+        first = np.full(self._class_codes[0, -1] + 1, codes.size)
+        np.minimum.at(first, codes, np.arange(codes.size))
+        leader_of = first[codes]  # each range's class's first range
+        leaders = sorted(set(leader_of.tolist()))
+        values = np.empty((3, codes.size))
+        for k in leaders:
+            found = self.evaluate(stage, int(starts[k]), int(ends[k]))
+            values[:, k] = found.forward, found.backward, found.feasible
+        self.cache_hits += codes.size - len(leaders)
+        forward, backward, feasible = values[:, leader_of]
+        return forward, backward, feasible == 1.0
 
     @functools.cached_property
     def _buffer_bytes(self) -> float:

@@ -18,22 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.isomorphism import StageEval, StageEvaluator
-
-
-@dataclass(frozen=True)
-class PartitionState:
-    """The paper's ``P[s, i]`` record: W, E, M, F, B, T plus the cut."""
-
-    warmup: float
-    ending: float
-    max_micro_step: float
-    forward: float
-    backward: float
-    total: float
-    split: int  # last layer index (inclusive) of stage s
 
 
 @dataclass(frozen=True)
@@ -61,6 +50,12 @@ def optimize_partition(
 ) -> PartitionResult:
     """Run Algorithm 1 over ``evaluator``'s layer sequence.
 
+    Each stage is one array step: its candidate ranges ``i..j`` (``i``
+    ascending, then ``j``), priced by :meth:`StageEvaluator.evaluate_ranges`
+    and combined with the successor states elementwise, in the scalar
+    recurrence's floating-point order. Each ``i`` keeps the first ``j``
+    reaching its minimum.
+
     Args:
         evaluator: provides ``f``/``b`` for candidate stages (with the
             optimal recomputation already folded in).
@@ -73,72 +68,66 @@ def optimize_partition(
     p = num_stages
     n = num_micro_batches
     L = evaluator.num_layers
+    infeasible = PartitionResult(False, math.inf, (), ())
     if p > L:
-        return PartitionResult(False, math.inf, (), ())
-    steady_count = lambda s: max(0, n - p + s)  # noqa: E731
-
-    # states[s][i] = best PartitionState for layers i.. handled by stages s..
-    states: List[Dict[int, PartitionState]] = [dict() for _ in range(p)]
-
-    # Base case: the last stage takes layers i..L-1.
-    for i in range(p - 1, L):
-        eval_ = evaluator.evaluate(p - 1, i, L - 1)
-        if not eval_.feasible:
-            continue
-        f, b = eval_.forward, eval_.backward
-        states[p - 1][i] = PartitionState(
-            warmup=f,
-            ending=b,
-            max_micro_step=f + b,
-            forward=f,
-            backward=b,
-            total=f + b + steady_count(p - 1) * (f + b),
-            split=L - 1,
-        )
-
-    for s in range(p - 2, -1, -1):
-        j_hi = L - p + s  # leave >= 1 layer per remaining stage
-        for i in range(s, j_hi + 1):
-            best: Optional[PartitionState] = None
-            for j in range(i, j_hi + 1):
-                nxt = states[s + 1].get(j + 1)
-                if nxt is None:
-                    continue
-                eval_ = evaluator.evaluate(s, i, j)
-                if not eval_.feasible:
-                    continue
-                f = eval_.forward + hop_time
-                b = eval_.backward + hop_time
-                warmup = f + max(nxt.warmup + nxt.backward, (p - s - 1) * f)
-                ending = b + max(nxt.ending + nxt.forward, (p - s - 1) * b)
-                micro = max(nxt.max_micro_step, f + b)
-                total = warmup + ending + steady_count(s) * micro
-                if best is None or total < best.total:
-                    best = PartitionState(
-                        warmup=warmup,
-                        ending=ending,
-                        max_micro_step=micro,
-                        forward=f,
-                        backward=b,
-                        total=total,
-                        split=j,
-                    )
-            if best is not None:
-                states[s][i] = best
-
-    root = states[0].get(0)
-    if root is None:
-        return PartitionResult(False, math.inf, (), ())
+        return infeasible
+    # split[s, i]: last layer of the best stage s starting at layer i (-1:
+    # none). state[:, i]: that state's W, E, M, F, B, for the stage above.
+    split = np.full((p, L + 1), -1)
+    state = np.zeros((5, L + 1))
+    for s in range(p - 1, -1, -1):
+        if s == p - 1:
+            # The last stage takes layers i..L-1.
+            starts = np.arange(p - 1, L)
+            ends = np.full(starts.size, L - 1)
+        else:
+            # Leave >= 1 layer per remaining stage, and end where a
+            # successor state P[s+1, j+1] exists.
+            j_hi = L - p + s
+            cuts = np.flatnonzero(split[s + 1, s + 1 : j_hi + 2] >= 0) + s
+            rows, columns = np.nonzero(cuts >= np.arange(s, j_hi + 1)[:, None])
+            starts, ends = rows + s, cuts[columns]
+        forward, backward, feasible = evaluator.evaluate_ranges(s, starts, ends)
+        keep = np.flatnonzero(feasible)
+        if not keep.size:
+            return infeasible
+        starts, ends = starts[keep], ends[keep]
+        if s == p - 1:
+            f, b = forward[keep], backward[keep]
+            warmup, ending, micro = f, b, f + b
+        else:
+            f = forward[keep] + hop_time
+            b = backward[keep] + hop_time
+            nxt_warmup, nxt_ending, nxt_micro, nxt_f, nxt_b = state[:, ends + 1]
+            warmup = f + np.maximum(nxt_warmup + nxt_b, (p - s - 1) * f)
+            ending = b + np.maximum(nxt_ending + nxt_f, (p - s - 1) * b)
+            micro = np.maximum(nxt_micro, f + b)
+        total = warmup + ending + max(0, n - p + s) * micro
+        # Each i keeps the first j reaching its minimum (the scalar loop's
+        # strict `<`).
+        row_min = np.full(L + 1, np.inf)
+        np.minimum.at(row_min, starts, total)
+        first = np.full(L + 1, total.size)
+        reached = np.where(total == row_min[starts], np.arange(total.size), total.size)
+        np.minimum.at(first, starts, reached)
+        best = first[first < total.size]
+        at = starts[best]
+        split[s, at] = ends[best]
+        state = np.zeros((5, L + 1))
+        state[:, at] = (warmup[best], ending[best], micro[best], f[best], b[best])
+    if split[0, 0] < 0:
+        return infeasible
+    root_total = float(total[best[0]])  # stage 0's first state is i = 0
 
     boundaries: List[Tuple[int, int]] = []
     evals: List[StageEval] = []
     i = 0
     for s in range(p):
-        state = states[s][i]
-        boundaries.append((i, state.split + 1))
-        evals.append(evaluator.evaluate(s, i, state.split))
-        i = state.split + 1
-    return PartitionResult(True, root.total, tuple(boundaries), tuple(evals))
+        j = int(split[s, i])
+        boundaries.append((i, j + 1))
+        evals.append(evaluator.evaluate(s, i, j))
+        i = j + 1
+    return PartitionResult(True, root_total, tuple(boundaries), tuple(evals))
 
 
 def phase_model_time(

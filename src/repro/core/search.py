@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ConfigError, ParallelConfig, TrainingConfig
 from repro.core.isomorphism import StageEvalCache, StageEvaluator
@@ -169,13 +169,23 @@ class PlannerContext:
         do not search placements; they price the canonical first one so
         their baselines stay deterministic and comparable.
         """
-        if not self.cluster.device_pool:
-            return None
-        classes = device_classes(self.cluster)
-        placement = enumerate_placements(
-            classes, self.parallel.pipeline_parallel
-        )[0]
-        return [classes[index] for index in placement]
+        return _canonical_placement(self)[0]
+
+
+def _canonical_placement(
+    ctx: PlannerContext,
+) -> Tuple[Optional[List[DeviceClass]], Dict[str, object]]:
+    """:meth:`PlannerContext.canonical_placement` and the plan metadata
+    naming it (empty when poolless), so a plan priced on it is evaluated
+    against the devices it was priced for."""
+    if not ctx.cluster.device_pool:
+        return None, {}
+    classes = device_classes(ctx.cluster)
+    placement = enumerate_placements(classes, ctx.parallel.pipeline_parallel)[0]
+    return (
+        [classes[index] for index in placement],
+        placement_metadata(classes, placement, 1),
+    )
 
 
 def _too_many_stages_plan(method: str, ctx: PlannerContext) -> PipelinePlan:
@@ -280,7 +290,8 @@ def plan_even_partitioning(
     started = time.perf_counter()  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
     if ctx.parallel.pipeline_parallel > len(ctx.layers):
         return _too_many_stages_plan(method, ctx)
-    evaluator = ctx.stage_evaluator(ctx.canonical_placement())
+    placement, placed = _canonical_placement(ctx)
+    evaluator = ctx.stage_evaluator(placement)
     boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
     evals = [
         evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
@@ -288,7 +299,7 @@ def plan_even_partitioning(
     plan = build_plan(
         method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
         ctx.spec.hidden_size, ctx.hop_time,
-    )
+    ).with_metadata(**placed)
     return _attach_search_metadata(plan, [_counters(evaluator)], started)
 
 
@@ -304,7 +315,7 @@ def plan_policy(
     if ctx.parallel.pipeline_parallel > len(ctx.layers):
         return _too_many_stages_plan(method, ctx)
     boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
-    placement = ctx.canonical_placement()
+    placement, placed = _canonical_placement(ctx)
     evals = stage_costs_for_policy(
         ctx.profiler,
         boundaries,
@@ -326,7 +337,10 @@ def plan_policy(
         method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
         ctx.spec.hidden_size, ctx.hop_time,
     )
-    return plan.with_metadata(planning_seconds=time.perf_counter() - started)  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
+    return plan.with_metadata(
+        **placed,
+        planning_seconds=time.perf_counter() - started,  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
+    )
 
 
 def enumerate_parallel_strategies(

@@ -434,6 +434,19 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
     return best, best_strategy
 
 
+def _unknown_method(name: str) -> bool:
+    """Report a ``--method`` no planner answers to, naming the known ones."""
+    from repro.baselines.methods import method_spec
+    from repro.config import ConfigError
+
+    try:
+        method_spec(name)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _unusable_file(exc: Exception) -> int:
     """Report a plan, cache, checkpoint or report file that cannot be used;
     exit code 2."""
@@ -557,6 +570,8 @@ def _cmd_plan(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
+    if _unknown_method(args.method):
+        return 2
     spec = model_by_name(args.model)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     cluster = make_cluster(max(1, args.devices // 8))
@@ -815,6 +830,8 @@ def _cmd_robustness(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
+    if _unknown_method(args.method):
+        return 2
     spec = model_by_name(args.model)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     devices = args.tp * args.pp * args.dp

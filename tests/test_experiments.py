@@ -305,6 +305,30 @@ class TestCli:
         assert rate > 0.5
         assert f"eval-cache hit rate {rate:.0%})" in capsys.readouterr().out
 
+    def test_unknown_method_is_one_error_line(self, capsys):
+        """The default plan loop, the sweep path and robustness: one line
+        naming the known methods, exit 2, nothing planned."""
+        from repro.baselines import ALL_METHODS
+        from repro.experiments.cli import main
+
+        plan = [
+            "plan", "--model", "bert-large", "--devices", "2", "--tp", "1",
+            "--pp", "2", "--dp", "1", "--seq", "512", "--batch", "8",
+            "--method", "Foo", "--no-simulate",
+        ]
+        sweep = [
+            "plan", "--model", "bert-large", "--devices", "2", "--seq", "512",
+            "--batch", "8", "--method", "Foo", "--no-simulate",
+            "--sweep-workers", "1",
+        ]
+        for argv in (plan, sweep, [*self.ROBUSTNESS, "--method", "Foo"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            err = captured.err.strip()
+            assert err.startswith("error: unknown method 'Foo'") and "\n" not in err
+            assert all(name in err for name in ALL_METHODS)
+            assert captured.out == ""
+
     @pytest.mark.parametrize(
         "method", ["Chimera-Full", "Chimera-Non", "ChimeraD-Full", "ChimeraD-Non"]
     )

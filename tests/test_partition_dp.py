@@ -3,7 +3,10 @@
 import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from repro.config import ParallelConfig, TrainingConfig
 from repro.core.isomorphism import StageEval, StageEvalCache
 from repro.core.partition_dp import (
+    PartitionResult,
     even_boundaries,
     optimize_partition,
     phase_model_time,
@@ -21,7 +25,7 @@ from repro.core.search import PlannerContext, plan_adapipe
 from repro.hardware.cluster import cluster_a
 from repro.hardware.device import a100_80gb, ascend910_32gb, derated
 from repro.model.layers import Layer, LayerKind
-from repro.model.spec import bert_large
+from repro.model.spec import bert_large, model_by_name
 from repro.pipeline.schedules import one_f_one_b_schedule
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts
@@ -41,14 +45,14 @@ class FakeEvaluator:
         self.b = list(b)
         self.p = num_stages
         self.capacity = capacity
-        self.calls = 0
+        self.log = []  # every (stage, i, j) asked for, in order
 
     @property
     def num_layers(self):
         return len(self.f)
 
     def evaluate(self, stage, i, j):
-        self.calls += 1
+        self.log.append((stage, i, j))
         k = j - i + 1
         feasible = True
         if self.capacity is not None:
@@ -60,6 +64,16 @@ class FakeEvaluator:
             saved_unit_counts={},
             saved_bytes_per_microbatch=0.0,
             memory=StageMemory(0.0, 0.0, 0.0, self.p - stage),
+        )
+
+    def evaluate_ranges(self, stage, starts, ends):
+        evals = [
+            self.evaluate(stage, i, j) for i, j in zip(starts.tolist(), ends.tolist())
+        ]
+        return (
+            np.array([e.forward for e in evals]),
+            np.array([e.backward for e in evals]),
+            np.array([e.feasible for e in evals], dtype=bool),
         )
 
 
@@ -379,3 +393,209 @@ class TestModelSimulatorConsistency:
         costs = [StageCosts(forward=fi, backward=bi) for fi, bi in zip(f, b)]
         simulated = simulate(one_f_one_b_schedule(costs, n)).iteration_time
         assert modeled == pytest.approx(simulated, rel=0.03)
+
+
+# -- the scalar loop the array DP replaced, kept as its oracle -----------------
+
+
+@dataclass(frozen=True)
+class PartitionState:
+    """The paper's ``P[s, i]`` record: W, E, M, F, B, T plus the cut."""
+
+    warmup: float
+    ending: float
+    max_micro_step: float
+    forward: float
+    backward: float
+    total: float
+    split: int  # last layer index (inclusive) of stage s
+
+
+def reference_optimize_partition(
+    evaluator,
+    num_stages: int,
+    num_micro_batches: int,
+    hop_time: float = 0.0,
+) -> PartitionResult:
+    """Algorithm 1 as a triple loop over (s, i, j), one ``evaluate`` each."""
+    p = num_stages
+    n = num_micro_batches
+    L = evaluator.num_layers
+    if p > L:
+        return PartitionResult(False, math.inf, (), ())
+    steady_count = lambda s: max(0, n - p + s)  # noqa: E731
+
+    # states[s][i] = best PartitionState for layers i.. handled by stages s..
+    states: List[Dict[int, PartitionState]] = [dict() for _ in range(p)]
+
+    # Base case: the last stage takes layers i..L-1.
+    for i in range(p - 1, L):
+        eval_ = evaluator.evaluate(p - 1, i, L - 1)
+        if not eval_.feasible:
+            continue
+        f, b = eval_.forward, eval_.backward
+        states[p - 1][i] = PartitionState(
+            warmup=f,
+            ending=b,
+            max_micro_step=f + b,
+            forward=f,
+            backward=b,
+            total=f + b + steady_count(p - 1) * (f + b),
+            split=L - 1,
+        )
+
+    for s in range(p - 2, -1, -1):
+        j_hi = L - p + s  # leave >= 1 layer per remaining stage
+        for i in range(s, j_hi + 1):
+            best: Optional[PartitionState] = None
+            for j in range(i, j_hi + 1):
+                nxt = states[s + 1].get(j + 1)
+                if nxt is None:
+                    continue
+                eval_ = evaluator.evaluate(s, i, j)
+                if not eval_.feasible:
+                    continue
+                f = eval_.forward + hop_time
+                b = eval_.backward + hop_time
+                warmup = f + max(nxt.warmup + nxt.backward, (p - s - 1) * f)
+                ending = b + max(nxt.ending + nxt.forward, (p - s - 1) * b)
+                micro = max(nxt.max_micro_step, f + b)
+                total = warmup + ending + steady_count(s) * micro
+                if best is None or total < best.total:
+                    best = PartitionState(
+                        warmup=warmup,
+                        ending=ending,
+                        max_micro_step=micro,
+                        forward=f,
+                        backward=b,
+                        total=total,
+                        split=j,
+                    )
+            if best is not None:
+                states[s][i] = best
+
+    root = states[0].get(0)
+    if root is None:
+        return PartitionResult(False, math.inf, (), ())
+
+    boundaries: List[Tuple[int, int]] = []
+    evals: List[StageEval] = []
+    i = 0
+    for s in range(p):
+        state = states[s][i]
+        boundaries.append((i, state.split + 1))
+        evals.append(evaluator.evaluate(s, i, state.split))
+        i = state.split + 1
+    return PartitionResult(True, root.total, tuple(boundaries), tuple(evals))
+
+
+def _assert_same_partition(got: PartitionResult, want: PartitionResult) -> None:
+    assert type(got.total_time) is float
+    assert got.total_time.hex() == want.total_time.hex()
+    assert got.feasible == want.feasible
+    assert got.boundaries == want.boundaries
+    assert got.stage_evals == want.stage_evals
+
+
+def _real_evaluators(model: str, p: int, limit_gib: float, pooled: bool):
+    """Both sides' (context, evaluator per placement) over one fresh shared
+    cache each: every placement of a four-device pool, or the poolless one."""
+    cluster = cluster_a(1)
+    if pooled:
+        a100 = a100_80gb()
+        cluster = cluster.with_device_pool(
+            (a100, derated(a100, 1.3), a100, ascend910_32gb())
+        )
+    sides = []
+    for _ in range(2):
+        ctx = PlannerContext(
+            cluster,
+            model_by_name(model),
+            TrainingConfig(sequence_length=2048, global_batch_size=16),
+            ParallelConfig(1, p, 1),
+            memory_limit_bytes=limit_gib * 1024**3,
+            eval_cache=StageEvalCache(),
+        )
+        ctx.eval_cache.enable_journal()
+        placements = [None]
+        if pooled:
+            classes = device_classes(cluster)
+            placements = [
+                [classes[i] for i in placement]
+                for placement in enumerate_placements(classes, p)
+            ]
+        sides.append((ctx, [ctx.stage_evaluator(pl) for pl in placements]))
+    return sides
+
+
+class TestArrayDpMatchesScalarLoop:
+    """The array DP against the triple loop it replaced: the same partition
+    and total bit for bit, and the same evaluator traffic in the same order."""
+
+    @given(data=st.data(), p=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_fake_costs(self, data, p):
+        L = data.draw(st.integers(min_value=p, max_value=p + 6))
+        # Small integers force equal totals, so the first-minimum rule decides.
+        cost = data.draw(
+            st.sampled_from(
+                [st.floats(min_value=0.1, max_value=5.0), st.integers(1, 3).map(float)]
+            )
+        )
+        f = data.draw(st.lists(cost, min_size=L, max_size=L))
+        b = data.draw(st.lists(cost, min_size=L, max_size=L))
+        capacity = data.draw(st.none() | st.integers(min_value=0, max_value=p * L))
+        n = data.draw(st.integers(min_value=1, max_value=3 * p + 2))
+        hop = data.draw(st.sampled_from([0.0, 0.05, 0.4, 2.0]))
+        want_eval = FakeEvaluator(f, b, p, capacity)
+        got_eval = FakeEvaluator(f, b, p, capacity)
+        want = reference_optimize_partition(want_eval, p, n, hop_time=hop)
+        got = optimize_partition(got_eval, p, n, hop_time=hop)
+        _assert_same_partition(got, want)
+        assert got_eval.log == want_eval.log
+
+    def test_ties_go_to_the_first_cut(self):
+        """Uniform integer costs tie many cuts; both pick the earliest."""
+        for p, L in ((2, 5), (3, 7), (4, 9)):
+            want_eval = FakeEvaluator([1.0] * L, [1.0] * L, p)
+            got_eval = FakeEvaluator([1.0] * L, [1.0] * L, p)
+            want = reference_optimize_partition(want_eval, p, 1)
+            got = optimize_partition(got_eval, p, 1)
+            _assert_same_partition(got, want)
+            assert got_eval.log == want_eval.log
+
+    @pytest.mark.parametrize(
+        "model,p,limit_gib,pooled",
+        [
+            ("bert-large", 4, 2.0, True),
+            ("bert-large", 4, 0.6, True),  # no placement fits
+            ("bert-large", 4, 2.0, False),
+            ("bert-large", 3, 3.0, False),
+            ("bert-large", 1, 6.0, False),
+            ("bert-large", 3, 1.0, False),  # no partition fits
+            ("bert-large", 2, 0.05, False),  # no last stage fits
+            ("llama2-7b", 4, 30.0, False),
+        ],
+    )
+    @pytest.mark.parametrize("hop", ["zero", "cluster"])
+    def test_real_evaluators(self, model, p, limit_gib, pooled, hop):
+        """Real stage evaluators on every placement, one shared cache per
+        side: results, all three counters, the local cache's key order and
+        the shared cache's hits, misses and journal."""
+        (want_ctx, want_evals), (got_ctx, got_evals) = _real_evaluators(
+            model, p, limit_gib, pooled
+        )
+        hop_time = want_ctx.hop_time if hop == "cluster" else 0.0
+        n = want_ctx.num_micro_batches
+        for want_eval, got_eval in zip(want_evals, got_evals):
+            want = reference_optimize_partition(want_eval, p, n, hop_time=hop_time)
+            got = optimize_partition(got_eval, p, n, hop_time=hop_time)
+            _assert_same_partition(got, want)
+            for name in ("inner_dp_invocations", "cache_hits", "cache_misses"):
+                assert getattr(got_eval, name) == getattr(want_eval, name), name
+            assert list(got_eval._cache) == list(want_eval._cache)
+        want_cache, got_cache = want_ctx.eval_cache, got_ctx.eval_cache
+        assert (got_cache.hits, got_cache.misses) == (want_cache.hits, want_cache.misses)
+        assert [key for key, _ in got_cache.journal_slice(0)] == [
+            key for key, _ in want_cache.journal_slice(0)
+        ]

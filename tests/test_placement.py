@@ -26,12 +26,19 @@ from repro.core.placement import (
     placement_devices,
     pool_capacity_sum,
 )
-from repro.core.search import PlannerContext, plan_adapipe
+from repro.core.evaluate import evaluate_plan
+from repro.core.search import (
+    PlannerContext,
+    plan_adapipe,
+    plan_even_partitioning,
+    plan_policy,
+)
 from repro.core.serialize import plan_signature
+from repro.core.strategies import RecomputePolicy
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.hardware.cluster import cluster_a
 from repro.hardware.device import a100_80gb, ascend910_32gb, derated
-from repro.model.spec import tiny_gpt
+from repro.model.spec import llama2_7b, tiny_gpt
 
 LIMIT = 8 * 1024**2
 
@@ -149,6 +156,35 @@ class TestPlacementSanity:
                         f"(scale {scales[i]}) got a strictly larger stage "
                         f"than rank {j} (scale {scales[j]})"
                     )
+
+
+class TestFixedPartitionPlacement:
+    """Fixed-partition planners price a pool on its canonical placement, so
+    their plans must name it: evaluation judges each rank's memory against
+    the device the plan placed there."""
+
+    def test_plans_carry_the_placement_they_were_priced_on(self):
+        a100 = a100_80gb()
+        cluster = cluster_a(1).with_device_pool(
+            (a100, a100, derated(a100, 1.5), ascend910_32gb())
+        )
+        ctx = PlannerContext(
+            cluster,
+            llama2_7b(),
+            TrainingConfig(sequence_length=4096, global_batch_size=16),
+            ParallelConfig(1, 4, 1),
+        )
+        canonical = list(enumerate_placements(device_classes(cluster), 4)[0])
+        even = plan_even_partitioning(ctx)
+        full = plan_policy(ctx, RecomputePolicy.FULL, "DAPPLE-Full")
+        for plan in (even, full):
+            assert plan.metadata["placement"] == canonical
+            assert plan.metadata["placement_searched"] == 1
+        # The canonical placement puts the Ascend 910 on rank 2, whose stage
+        # pins 26.7 GiB; in declaration order it would serve rank 3's 29.6.
+        assert even.metadata["placement_devices"][2] == "Ascend910-32GB"
+        assert even.feasible
+        assert not evaluate_plan(even, cluster).oom
 
 
 class TestEnumeration:
