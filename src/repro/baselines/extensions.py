@@ -17,18 +17,20 @@ design space:
 * **Interleaved 1F1B** (Megatron, Section 2.1): ``v`` model chunks per
   device shrink bubbles to ``1/v`` at ``v``-fold stage-boundary
   communication; combined here with full/no recomputation.
+
+Each planner is a pricer for
+:func:`~repro.core.search.plan_fixed_partition`, which splits the layers,
+places the stages on a device pool and scales each stage by its rank.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.isomorphism import StageEval
-from repro.core.partition_dp import even_boundaries
-from repro.core.plan import PipelinePlan, build_plan
-from repro.core.search import PlannerContext
+from repro.core.plan import PipelinePlan
+from repro.core.search import PlannerContext, plan_fixed_partition
 from repro.core.strategies import RecomputePolicy, stage_eval_for_policy
 from repro.hardware.comm import CommModel
 from repro.profiler.memory import StageMemory
@@ -122,29 +124,21 @@ def sqrt_checkpoint_stage_eval(
 def plan_sqrt_checkpoint(
     ctx: PlannerContext, method: str = "Checkpoint-sqrtL"
 ) -> PipelinePlan:
-    """Uniform partition with per-stage segment checkpointing."""
-    boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
-    evals = [
-        sqrt_checkpoint_stage_eval(
-            ctx, s, ctx.layers[lo:hi], ctx.hard_capacity_bytes
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    ]
-    return build_plan(
-        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
-        ctx.spec.hidden_size, ctx.hop_time,
-    )
+    """Uniform partition with per-stage segment checkpointing, judged
+    against each rank's hard capacity."""
+
+    def price(boundaries, ranks):
+        return [
+            sqrt_checkpoint_stage_eval(
+                ctx, s, ctx.layers[lo:hi], ranks[s].hard_capacity_bytes
+            )
+            for s, (lo, hi) in enumerate(boundaries)
+        ]
+
+    return plan_fixed_partition(ctx, method, price)
 
 
 # -- BPipe-style activation balancing -----------------------------------------
-
-
-@dataclass(frozen=True)
-class BPipeOverheads:
-    """Transfer accounting for one stage pair."""
-
-    moved_bytes_per_microbatch: float
-    transfer_time_per_microbatch: float
 
 
 def plan_bpipe(
@@ -156,58 +150,58 @@ def plan_bpipe(
 
     Stage ``s`` holds ``(p - s) * A`` activation bytes under 1F1B; its
     partner holds ``(s + 1) * A``. BPipe evicts the difference/2 to the
-    partner, so both sit at the pair average. The evicted bytes travel over
-    the inter-node network twice per micro-batch (evict + fetch-back);
-    ``overlap_fraction`` of that hides under computation.
+    partner, so both sit at the pair average, judged against the rank's
+    hard capacity. The evicted bytes travel over the inter-node network
+    twice per micro-batch (evict + fetch-back); ``overlap_fraction`` of
+    that hides under computation. The exposed rest is part of the stage
+    times, so on a slow rank it is scaled with them.
     """
-    p = ctx.parallel.pipeline_parallel
-    boundaries = even_boundaries(len(ctx.layers), p)
-    base = [
-        stage_eval_for_policy(
-            ctx.profiler,
-            s,
-            ctx.layers[lo:hi],
-            RecomputePolicy.NONE,
-            float("inf"),  # feasibility judged after balancing
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    ]
-    comm = CommModel(ctx.cluster)
-    evals: List[StageEval] = []
-    for s, eval_ in enumerate(base):
-        partner = p - 1 - s
-        own_load = eval_.memory.in_flight_microbatches * eval_.saved_bytes_per_microbatch
-        partner_load = (
-            base[partner].memory.in_flight_microbatches
-            * base[partner].saved_bytes_per_microbatch
-        )
-        balanced = (own_load + partner_load) / 2.0
-        moved = max(0.0, own_load - balanced)
-        transfer = 2.0 * comm.p2p_time(
-            moved / max(1, eval_.memory.in_flight_microbatches)
-        )
-        exposed = (1.0 - overlap_fraction) * transfer
-        memory = StageMemory(
-            static_bytes=eval_.memory.static_bytes,
-            buffer_bytes=eval_.memory.buffer_bytes,
-            saved_per_microbatch=balanced
-            / max(1, eval_.memory.in_flight_microbatches),
-            in_flight_microbatches=eval_.memory.in_flight_microbatches,
-        )
-        evals.append(
-            StageEval(
-                feasible=memory.fits(ctx.hard_capacity_bytes),
-                forward=eval_.forward + exposed / 2.0,
-                backward=eval_.backward + exposed / 2.0,
-                saved_unit_counts=dict(eval_.saved_unit_counts),
-                saved_bytes_per_microbatch=memory.saved_per_microbatch,
-                memory=memory,
+
+    def price(boundaries, ranks):
+        p = len(boundaries)
+        base = [
+            stage_eval_for_policy(
+                ctx.profiler,
+                s,
+                ctx.layers[lo:hi],
+                RecomputePolicy.NONE,
+                float("inf"),  # feasibility judged after balancing
             )
-        )
-    return build_plan(
-        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
-        ctx.spec.hidden_size, ctx.hop_time,
-    )
+            for s, (lo, hi) in enumerate(boundaries)
+        ]
+        comm = CommModel(ctx.cluster)
+        evals: List[StageEval] = []
+        for s, eval_ in enumerate(base):
+            in_flight = eval_.memory.in_flight_microbatches
+            partner = base[p - 1 - s]
+            own_load = in_flight * eval_.saved_bytes_per_microbatch
+            partner_load = (
+                partner.memory.in_flight_microbatches
+                * partner.saved_bytes_per_microbatch
+            )
+            balanced = (own_load + partner_load) / 2.0
+            moved = max(0.0, own_load - balanced)
+            transfer = 2.0 * comm.p2p_time(moved / max(1, in_flight))
+            exposed = (1.0 - overlap_fraction) * transfer
+            memory = StageMemory(
+                static_bytes=eval_.memory.static_bytes,
+                buffer_bytes=eval_.memory.buffer_bytes,
+                saved_per_microbatch=balanced / max(1, in_flight),
+                in_flight_microbatches=in_flight,
+            )
+            evals.append(
+                StageEval(
+                    feasible=memory.fits(ranks[s].hard_capacity_bytes),
+                    forward=eval_.forward + exposed / 2.0,
+                    backward=eval_.backward + exposed / 2.0,
+                    saved_unit_counts=dict(eval_.saved_unit_counts),
+                    saved_bytes_per_microbatch=memory.saved_per_microbatch,
+                    memory=memory,
+                )
+            )
+        return evals
+
+    return plan_fixed_partition(ctx, method, price)
 
 
 # -- interleaved 1F1B ----------------------------------------------------------
@@ -222,18 +216,18 @@ def plan_interleaved(
     """Even partition into ``chunks * p`` global stages, fixed policy.
 
     Feasibility is judged by the simulator (devices host several chunks, so
-    the 1F1B ``p - s`` in-flight model does not apply).
+    the 1F1B ``p - s`` in-flight model does not apply); the pricer judges
+    no budget.
     """
     p = ctx.parallel.pipeline_parallel
     method = method or f"Interleaved-{policy.value.capitalize()}(v={chunks})"
-    boundaries = even_boundaries(len(ctx.layers), chunks * p)
-    evals = [
-        stage_eval_for_policy(
-            ctx.profiler, min(s, p - 1), ctx.layers[lo:hi], policy, float("inf")
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    ]
-    return build_plan(
-        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
-        ctx.spec.hidden_size, ctx.hop_time,
-    )
+
+    def price(boundaries, ranks):
+        return [
+            stage_eval_for_policy(
+                ctx.profiler, min(s, p - 1), ctx.layers[lo:hi], policy, float("inf")
+            )
+            for s, (lo, hi) in enumerate(boundaries)
+        ]
+
+    return plan_fixed_partition(ctx, method, price, chunks)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.isomorphism import StageEval, kind_counts, stage_totals
-from repro.core.partition_dp import even_boundaries
-from repro.core.plan import PipelinePlan, build_plan
+from repro.core.plan import PipelinePlan
 from repro.core.recompute_dp import optimize_stage_recompute
-from repro.core.search import PlannerContext
+from repro.core.search import PlannerContext, plan_fixed_partition
 from repro.profiler.memory import StageMemory
 
 DEFAULT_HOST_LINK_BANDWIDTH = 25e9  # PCIe 4.0 x16, achievable
@@ -110,14 +109,16 @@ def plan_offload(
     offload: Optional[OffloadModel] = None,
     method: str = "Recompute+Offload",
 ) -> PipelinePlan:
-    """Uniform partition with the three-way save/recompute/offload optimum."""
+    """Uniform partition with the three-way save/recompute/offload optimum,
+    each stage against its rank's DP budget."""
     offload = offload or OffloadModel()
-    boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
-    evals: List[StageEval] = [
-        offload_stage_eval(ctx, s, ctx.layers[lo:hi], ctx.capacity_bytes, offload)
-        for s, (lo, hi) in enumerate(boundaries)
-    ]
-    return build_plan(
-        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
-        ctx.spec.hidden_size, ctx.hop_time,
-    )
+
+    def price(boundaries, ranks):
+        return [
+            offload_stage_eval(
+                ctx, s, ctx.layers[lo:hi], ranks[s].capacity_bytes, offload
+            )
+            for s, (lo, hi) in enumerate(boundaries)
+        ]
+
+    return plan_fixed_partition(ctx, method, price)

@@ -26,7 +26,7 @@ from repro.core.search import (
     plan_even_partitioning,
     search_best_strategy,
 )
-from repro.core.strategies import RecomputePolicy, stage_costs_for_policy
+from repro.core.strategies import RecomputePolicy
 from repro.core.sweep import (
     SweepConfig,
     SweepResult,
@@ -53,6 +53,5 @@ __all__ = [
     "plan_even_partitioning",
     "run_sweep",
     "search_best_strategy",
-    "stage_costs_for_policy",
     "strategy_lower_bound",
 ]

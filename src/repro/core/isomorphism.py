@@ -66,6 +66,21 @@ class StageEval:
     saved_bytes_per_microbatch: float
     memory: StageMemory
 
+    def scaled(self, scale: float) -> "StageEval":
+        """This stage on a device ``scale`` times slower: times multiplied,
+        memory unchanged. At 1.0 the evaluation itself, so nominal ranks
+        stay bit-identical by construction."""
+        if scale == 1.0:
+            return self
+        return StageEval(
+            self.feasible,
+            self.forward * scale,
+            self.backward * scale,
+            self.saved_unit_counts,
+            self.saved_bytes_per_microbatch,
+            self.memory,
+        )
+
 
 #: Layer kinds in value order: the order a stage's per-kind totals are
 #: summed in and its knapsack items listed in.
@@ -557,26 +572,20 @@ class StageEvaluator:
         result: RecomputeResult = optimize_stage_recompute(
             list(totals.items), budget, in_flight
         )
+        # The knapsack runs on nominal unit times: a uniform per-rank scale
+        # multiplies every candidate's value identically, so the argmax is
+        # scale-invariant and only the resulting stage times need scaling.
         if not result.feasible:
             return StageEval(
                 feasible=False,
-                forward=forward if scale == 1.0 else forward * scale,
+                forward=forward,
                 backward=float("inf"),
                 saved_unit_counts={},
                 saved_bytes_per_microbatch=0.0,
                 memory=StageMemory(static, buffer, totals.always_bytes, in_flight),
-            )
+            ).scaled(scale)
 
         backward = totals.backward_fixed + totals.optional_value - result.saved_value
-        # The knapsack runs on nominal unit times: a uniform per-rank scale
-        # multiplies every candidate's value identically, so the argmax is
-        # scale-invariant and only the resulting stage times need scaling.
-        # The `!= 1.0` guard keeps homogeneous pools bit-identical to the
-        # poolless planner (IEEE `x * 1.0` is exact, but skipping the
-        # multiply entirely makes the invariance self-evident).
-        if scale != 1.0:
-            forward *= scale
-            backward *= scale
         saved_counts = dict(totals.always_counts)
         for name, count in result.saved_counts.items():
             saved_counts[name] = saved_counts.get(name, 0) + count
@@ -594,4 +603,4 @@ class StageEvaluator:
             saved_unit_counts=saved_counts,
             saved_bytes_per_microbatch=saved_bytes,
             memory=memory,
-        )
+        ).scaled(scale)

@@ -19,7 +19,7 @@ from typing import List, Tuple
 from repro.core.evaluate import evaluate_plan
 from repro.core.placement import device_classes
 from repro.core.plan import PipelinePlan, build_plan
-from repro.core.search import PlannerContext, plan_adapipe
+from repro.core.search import PlannerContext, _canonical_placement, plan_adapipe
 
 
 def _boundary_moves(
@@ -62,9 +62,10 @@ def refine_partition(
     placement = plan.metadata.get("placement")
     if placement is not None and ctx.cluster.device_pool:
         classes = device_classes(ctx.cluster)
-        evaluator = ctx.stage_evaluator([classes[int(i)] for i in placement])
+        ranks = ctx.ranks([classes[int(i)] for i in placement])
     else:
-        evaluator = ctx.stage_evaluator(ctx.canonical_placement())
+        ranks = ctx.ranks(_canonical_placement(ctx)[0])
+    evaluator = ctx.stage_evaluator(ranks)
     placed = {
         key: value for key, value in plan.metadata.items() if key.startswith("placement")
     }

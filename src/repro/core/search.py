@@ -1,8 +1,8 @@
 """End-to-end planning and 3D-parallelism strategy search (Sections 5–7).
 
 ``PlannerContext`` bundles everything a plan needs (cluster, model,
-workload, strategy, memory constraint). The three planners mirror the
-paper's evaluated methods:
+workload, strategy, memory constraint). The planners mirror the paper's
+evaluated methods:
 
 * :func:`plan_adapipe` — adaptive recomputation *and* adaptive partitioning
   (the two-level DP).
@@ -11,6 +11,11 @@ paper's evaluated methods:
 * :func:`plan_policy` — uniform partition and a fixed policy (the
   DAPPLE-Full / DAPPLE-Non rows).
 
+Every planner that keeps the uniform partition (these two and the
+extension baselines) is a pricer handed to :func:`plan_fixed_partition`,
+the one place that splits the layers evenly, places the stages on a device
+pool and builds the plan.
+
 :func:`enumerate_parallel_strategies` and :func:`search_best_strategy`
 reproduce the Table 3 sweep: iterate all ``(t, p, d)`` with ``t`` within a
 node, plan each, and keep the fastest feasible strategy.
@@ -18,12 +23,13 @@ node, plan each, and keep the fastest feasible strategy.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ConfigError, ParallelConfig, TrainingConfig
-from repro.core.isomorphism import StageEvalCache, StageEvaluator
+from repro.core.isomorphism import StageEval, StageEvalCache, StageEvaluator
 from repro.core.partition_dp import (
     PartitionResult,
     even_boundaries,
@@ -36,13 +42,34 @@ from repro.core.placement import (
     placement_metadata,
 )
 from repro.core.plan import PipelinePlan, build_plan
-from repro.core.strategies import RecomputePolicy, stage_costs_for_policy
+from repro.core.strategies import RecomputePolicy, stage_eval_for_policy
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.device import DeviceSpec
 from repro.hardware.comm import CommModel
 from repro.model.layers import Layer, build_layer_sequence
 from repro.model.spec import ModelSpec
 from repro.profiler.profiler import Profiler
+
+
+@dataclass(frozen=True)
+class Rank:
+    """One pipeline rank as the planners price it.
+
+    Attributes:
+        compute_scale: slowdown against the nominal roofline device (1.0 =
+            nominal); stage forward and backward times are multiplied by it.
+        capacity_bytes: the recomputation DP's budget: usable memory times
+            ``memory_margin``, capped by ``memory_limit_bytes``.
+        hard_capacity_bytes: usable memory, the OOM line.
+    """
+
+    compute_scale: float
+    capacity_bytes: float
+    hard_capacity_bytes: float
+
+
+#: A fixed-partition planner's pricing: (stage boundaries, ranks) -> each
+#: stage's nominal-speed evaluation; stage ``s`` runs on ``ranks[s % p]``.
+Pricer = Callable[[Sequence[Tuple[int, int]], Sequence[Rank]], Sequence[StageEval]]
 
 
 @dataclass
@@ -86,23 +113,24 @@ class PlannerContext:
         """The physical OOM line (Figure 8's dashed capacity)."""
         return float(self.cluster.device.usable_memory_bytes)
 
-    def placement_capacity_bytes(self, device: DeviceSpec) -> float:
-        """The DP memory budget when a stage lands on ``device``.
-
-        An explicit ``memory_limit_bytes`` still caps the budget (the
-        paper's conservative constraint), but a smaller part clamps it
-        further — its margin-scaled capacity. For the cluster's base
-        device this reduces exactly to :attr:`capacity_bytes`, which is
-        what keeps homogeneous-pool planning bit-identical.
+    def ranks(
+        self, placement: Optional[Sequence[DeviceClass]] = None
+    ) -> Tuple[Rank, ...]:
+        """Rank ``r`` on the pool's device class ``placement[r]``; without a
+        placement, every rank nominal with :attr:`capacity_bytes` and
+        :attr:`hard_capacity_bytes`. A class of the cluster's base device
+        reduces exactly to those, keeping homogeneous pools bit-identical.
         """
-        scaled = device.usable_memory_bytes * self.memory_margin
-        if self.memory_limit_bytes is not None:
-            return min(self.memory_limit_bytes, scaled)
-        return scaled
-
-    def rank_hard_capacity_bytes(self, rank: int) -> float:
-        """Physical OOM line of the device serving pipeline rank ``rank``."""
-        return float(self.cluster.rank_device(rank).usable_memory_bytes)
+        if placement is None:
+            nominal = Rank(1.0, self.capacity_bytes, self.hard_capacity_bytes)
+            return (nominal,) * self.parallel.pipeline_parallel
+        ranks = []
+        for cls in placement:
+            budget = cls.device.usable_memory_bytes * self.memory_margin
+            if self.memory_limit_bytes is not None:
+                budget = min(self.memory_limit_bytes, budget)
+            ranks.append(Rank(cls.compute_scale, budget, cls.capacity_bytes))
+        return tuple(ranks)
 
     @property
     def profiler(self) -> Profiler:
@@ -132,52 +160,38 @@ class PlannerContext:
             self.spec.hidden_size, self.train
         )
 
-    def stage_evaluator(
-        self, placement: Optional[Sequence[DeviceClass]] = None
-    ) -> StageEvaluator:
+    def stage_evaluator(self, ranks: Optional[Sequence[Rank]] = None) -> StageEvaluator:
         """A stage evaluator wired to this context's shared cache (if any).
 
-        ``placement`` (one :class:`~repro.core.placement.DeviceClass` per
-        pipeline rank) prices each rank with its class's compute scale
-        and margin-scaled memory capacity; omitted, pricing is uniform.
-        All evaluators share ``eval_cache``, and the rank class is part
-        of every cache key, so evaluations flow across placements — and
-        across replans — without aliasing.
+        Stage ``s`` is priced on ``ranks[s]`` (default: :meth:`ranks`,
+        the nominal ranks): its compute scale multiplies the stage's times
+        and its DP budget bounds the knapsack. All evaluators share
+        ``eval_cache``, and the rank's scale and budget are part of every
+        cache key, so evaluations flow across placements — and across
+        replans — without aliasing.
         """
-        if placement is None:
-            return StageEvaluator(
-                self.profiler,
-                self.layers,
-                self.capacity_bytes,
-                shared_cache=self.eval_cache,
-            )
+        if ranks is None:
+            ranks = self.ranks()
         return StageEvaluator(
             self.profiler,
             self.layers,
             self.capacity_bytes,
             shared_cache=self.eval_cache,
-            rank_compute_scales=[cls.compute_scale for cls in placement],
-            rank_capacities=[
-                self.placement_capacity_bytes(cls.device) for cls in placement
-            ],
+            rank_compute_scales=[rank.compute_scale for rank in ranks],
+            rank_capacities=[rank.capacity_bytes for rank in ranks],
         )
-
-    def canonical_placement(self) -> Optional[List[DeviceClass]]:
-        """Pooled clusters' first (fastest-ranks-first) placement, else None.
-
-        The fixed-partition planners (even partitioning, DAPPLE policies)
-        do not search placements; they price the canonical first one so
-        their baselines stay deterministic and comparable.
-        """
-        return _canonical_placement(self)[0]
 
 
 def _canonical_placement(
     ctx: PlannerContext,
 ) -> Tuple[Optional[List[DeviceClass]], Dict[str, object]]:
-    """:meth:`PlannerContext.canonical_placement` and the plan metadata
-    naming it (empty when poolless), so a plan priced on it is evaluated
-    against the devices it was priced for."""
+    """A pooled cluster's first (fastest-ranks-first) placement and the
+    plan metadata naming it; ``(None, {})`` when poolless.
+
+    The planners that do not search placements price this one, so their
+    baselines stay deterministic and comparable, and a plan priced on it
+    is evaluated against the devices it was priced for.
+    """
     if not ctx.cluster.device_pool:
         return None, {}
     classes = device_classes(ctx.cluster)
@@ -202,19 +216,21 @@ def _too_many_stages_plan(method: str, ctx: PlannerContext) -> PipelinePlan:
     )
 
 
-def _counters(evaluator: StageEvaluator) -> Tuple[int, int, int]:
-    return evaluator.inner_dp_invocations, evaluator.cache_hits, evaluator.cache_misses
+def _counters(evaluator: StageEvaluator) -> Dict[str, int]:
+    """An evaluator's observability counters, as plan metadata."""
+    return {
+        "inner_dp_invocations": evaluator.inner_dp_invocations,
+        "eval_cache_hits": evaluator.cache_hits,
+        "eval_cache_misses": evaluator.cache_misses,
+    }
 
 
 def _attach_search_metadata(
-    plan: PipelinePlan, counters: Sequence[Tuple[int, int, int]], started: float
+    plan: PipelinePlan, counters: Sequence[Dict[str, int]], started: float
 ) -> PipelinePlan:
     """Fold the evaluators' summed observability counters into the plan."""
-    inner_dp, hits, misses = (sum(column) for column in zip(*counters))
     return plan.with_metadata(
-        inner_dp_invocations=inner_dp,
-        eval_cache_hits=hits,
-        eval_cache_misses=misses,
+        **{key: sum(each[key] for each in counters) for key in counters[0]},
         planning_seconds=time.perf_counter() - started,  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
     )
 
@@ -245,11 +261,11 @@ def plan_adapipe(ctx: PlannerContext, method: str = "AdaPipe") -> PipelinePlan:
 
     def evaluator_for(placement: Optional[Tuple[int, ...]]) -> StageEvaluator:
         return ctx.stage_evaluator(
-            None if placement is None else [classes[i] for i in placement]
+            ctx.ranks(None if placement is None else [classes[i] for i in placement])
         )
 
     hop_time = ctx.hop_time
-    counters: List[Tuple[int, int, int]] = []
+    counters: List[Dict[str, int]] = []
     best: Optional[PartitionResult] = None
     chosen = placements[0]
     for placement in placements:
@@ -283,24 +299,58 @@ def plan_adapipe(ctx: PlannerContext, method: str = "AdaPipe") -> PipelinePlan:
     return _attach_search_metadata(plan, counters, started)
 
 
-def plan_even_partitioning(
-    ctx: PlannerContext, method: str = "Even Partitioning"
+def plan_fixed_partition(
+    ctx: PlannerContext, method: str, price: Pricer, chunks: int = 1
 ) -> PipelinePlan:
-    """Adaptive recomputation on the uniform partition (no boundary search)."""
+    """The plan of a method that keeps the uniform partition.
+
+    Splits the layers evenly into ``chunks * p`` stages and places them on
+    the canonical placement of a device pool (poolless: the nominal ranks),
+    stage ``s`` on rank ``s mod p``. ``price`` returns each stage's
+    nominal-speed evaluation against the budget its method judges, and
+    every evaluation is then scaled by its rank's compute scale. With more
+    stages than layers no even split exists, and the plan is infeasible.
+    """
     started = time.perf_counter()  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
-    if ctx.parallel.pipeline_parallel > len(ctx.layers):
+    p = ctx.parallel.pipeline_parallel
+    if chunks * p > len(ctx.layers):
         return _too_many_stages_plan(method, ctx)
+    boundaries = even_boundaries(len(ctx.layers), chunks * p)
     placement, placed = _canonical_placement(ctx)
-    evaluator = ctx.stage_evaluator(placement)
-    boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
+    ranks = ctx.ranks(placement)
     evals = [
-        evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
+        eval_.scaled(ranks[s % p].compute_scale)
+        for s, eval_ in enumerate(price(boundaries, ranks))
     ]
     plan = build_plan(
         method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
         ctx.spec.hidden_size, ctx.hop_time,
-    ).with_metadata(**placed)
-    return _attach_search_metadata(plan, [_counters(evaluator)], started)
+    )
+    return plan.with_metadata(
+        **placed,
+        planning_seconds=time.perf_counter() - started,  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
+    )
+
+
+def plan_even_partitioning(
+    ctx: PlannerContext, method: str = "Even Partitioning"
+) -> PipelinePlan:
+    """Adaptive recomputation on the uniform partition (no boundary search),
+    each stage's knapsack against its rank's DP budget."""
+    counters: List[Dict[str, int]] = []
+
+    def price(boundaries, ranks):
+        evaluator = ctx.stage_evaluator(
+            [dataclasses.replace(rank, compute_scale=1.0) for rank in ranks]
+        )
+        evals = [
+            evaluator.evaluate(s, lo, hi - 1) for s, (lo, hi) in enumerate(boundaries)
+        ]
+        counters.append(_counters(evaluator))
+        return evals
+
+    plan = plan_fixed_partition(ctx, method, price)
+    return plan.with_metadata(**counters[0]) if counters else plan  # unpriced if p > L
 
 
 def plan_policy(
@@ -311,36 +361,16 @@ def plan_policy(
     Feasibility is judged against the *hard* device capacity, not the DP's
     conservative margin — baselines don't leave headroom, they just OOM.
     """
-    started = time.perf_counter()  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
-    if ctx.parallel.pipeline_parallel > len(ctx.layers):
-        return _too_many_stages_plan(method, ctx)
-    boundaries = even_boundaries(len(ctx.layers), ctx.parallel.pipeline_parallel)
-    placement, placed = _canonical_placement(ctx)
-    evals = stage_costs_for_policy(
-        ctx.profiler,
-        boundaries,
-        ctx.layers,
-        policy,
-        ctx.hard_capacity_bytes,
-        rank_capacities=(
-            [float(cls.device.usable_memory_bytes) for cls in placement]
-            if placement is not None
-            else None
-        ),
-        rank_scales=(
-            [cls.compute_scale for cls in placement]
-            if placement is not None
-            else None
-        ),
-    )
-    plan = build_plan(
-        method, ctx.parallel, ctx.train, ctx.layers, boundaries, evals,
-        ctx.spec.hidden_size, ctx.hop_time,
-    )
-    return plan.with_metadata(
-        **placed,
-        planning_seconds=time.perf_counter() - started,  # adalint: disable=determinism -- wall-clock observability metadata; never feeds a planned or simulated quantity
-    )
+
+    def price(boundaries, ranks):
+        return [
+            stage_eval_for_policy(
+                ctx.profiler, s, ctx.layers[lo:hi], policy, ranks[s].hard_capacity_bytes
+            )
+            for s, (lo, hi) in enumerate(boundaries)
+        ]
+
+    return plan_fixed_partition(ctx, method, price)
 
 
 def enumerate_parallel_strategies(

@@ -18,7 +18,7 @@ downstream code (cost model, simulator, plan building).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.isomorphism import StageEval, kind_counts, stage_totals
 from repro.model.layers import Layer
@@ -48,16 +48,14 @@ def stage_eval_for_policy(
     stage_layers: Sequence[Layer],
     policy: RecomputePolicy,
     capacity_bytes: float,
-    compute_scale: float = 1.0,
 ) -> StageEval:
     """Evaluate a stage under a fixed (non-searched) recomputation policy.
 
     The stage's :func:`~repro.core.isomorphism.stage_totals` are priced
     with the policy's keep rule in place of the knapsack: a kept unit type
     pins its bytes, a dropped one adds its recompute time to backward.
-    ``compute_scale`` derates the stage's forward/backward times for a
-    heterogeneous placement (1.0 = nominal device); ``capacity_bytes``
-    is already the per-rank budget when the caller places stages.
+    Times are nominal; a placed stage is scaled by
+    :meth:`~repro.core.isomorphism.StageEval.scaled`.
     """
     memory_model = profiler.memory
     totals = stage_totals(profiler, kind_counts(stage_layers))
@@ -71,12 +69,6 @@ def stage_eval_for_policy(
             counts[item.name] = counts.get(item.name, 0) + item.copies
         else:
             backward += item.copies * item.value  # recompute cost
-
-    if compute_scale != 1.0:
-        # Guarded multiply: homogeneous placements stay bit-identical to
-        # the unplaced baselines (see StageEvaluator._evaluate_uncached).
-        forward *= compute_scale
-        backward *= compute_scale
 
     memory = StageMemory(
         static_bytes=memory_model.static_bytes(stage_layers),
@@ -93,30 +85,3 @@ def stage_eval_for_policy(
         memory=memory,
     )
 
-
-def stage_costs_for_policy(
-    profiler: Profiler,
-    boundaries: Sequence,
-    layers: Sequence[Layer],
-    policy: RecomputePolicy,
-    capacity_bytes: float,
-    rank_capacities: Optional[Sequence[float]] = None,
-    rank_scales: Optional[Sequence[float]] = None,
-) -> list:
-    """Per-stage :class:`StageEval` list for a fixed partition and policy.
-
-    ``rank_capacities``/``rank_scales`` (one entry per stage) price a
-    heterogeneous placement; omitted, every stage sees ``capacity_bytes``
-    at nominal speed.
-    """
-    return [
-        stage_eval_for_policy(
-            profiler,
-            s,
-            layers[lo:hi],
-            policy,
-            rank_capacities[s] if rank_capacities is not None else capacity_bytes,
-            compute_scale=rank_scales[s] if rank_scales is not None else 1.0,
-        )
-        for s, (lo, hi) in enumerate(boundaries)
-    ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.pipeline.schedules import SCHEDULE_KINDS, schedule_family
@@ -434,17 +434,19 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
     return best, best_strategy
 
 
-def _unknown_method(name: str) -> bool:
-    """Report a ``--method`` no planner answers to, naming the known ones."""
-    from repro.baselines.methods import method_spec
+_T = TypeVar("_T")
+
+
+def _lookup(find: Callable[[str], _T], name: str) -> Optional[_T]:
+    """``find(name)``, or None after one ``error:`` line for an unknown
+    ``--method`` or ``--model`` (the message names the known ones)."""
     from repro.config import ConfigError
 
     try:
-        method_spec(name)
+        return find(name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
+        return None
 
 
 def _unusable_file(exc: Exception) -> int:
@@ -561,7 +563,7 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.baselines import evaluate_method
+    from repro.baselines import evaluate_method, method_spec
     from repro.config import ParallelConfig
     from repro.config import TrainingConfig
     from repro.core.isomorphism import StageEvalCache
@@ -570,9 +572,9 @@ def _cmd_plan(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
-    if _unknown_method(args.method):
+    spec = _lookup(model_by_name, args.model)
+    if spec is None or _lookup(method_spec, args.method) is None:
         return 2
-    spec = model_by_name(args.model)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     cluster = make_cluster(max(1, args.devices // 8))
     if args.device_pool:
@@ -687,7 +689,9 @@ def _cmd_replan(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
-    spec = model_by_name(args.model)
+    spec = _lookup(model_by_name, args.model)
+    if spec is None:
+        return 2
     try:
         plan = load_plan(args.plan)
     except PlanFormatError as exc:
@@ -763,7 +767,9 @@ def _cmd_audit(args) -> int:
     from repro.model.spec import model_by_name
     from repro.pipeline.memory_audit import audit_schedule_memory
 
-    spec = model_by_name(args.model)
+    spec = _lookup(model_by_name, args.model)
+    if spec is None:
+        return 2
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     devices = args.tp * args.pp * args.dp
     cluster = make_cluster(max(1, devices // 8))
@@ -821,7 +827,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    from repro.baselines import evaluate_method
+    from repro.baselines import evaluate_method, method_spec
     from repro.config import ParallelConfig, TrainingConfig
     from repro.core.evaluate import build_schedule_for_plan
     from repro.core.robust import cluster_perturbation, evaluate_robustness
@@ -830,9 +836,9 @@ def _cmd_robustness(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
-    if _unknown_method(args.method):
+    spec = _lookup(model_by_name, args.model)
+    if spec is None or _lookup(method_spec, args.method) is None:
         return 2
-    spec = model_by_name(args.model)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     devices = args.tp * args.pp * args.dp
     cluster = make_cluster(max(1, devices // 8))

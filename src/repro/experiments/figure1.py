@@ -10,9 +10,8 @@ lengthen, while full recomputation stays flat and far below the limit.
 from __future__ import annotations
 
 from repro.config import ParallelConfig, TrainingConfig
-from repro.core.partition_dp import even_boundaries
-from repro.core.strategies import RecomputePolicy, stage_costs_for_policy
-from repro.core.search import PlannerContext
+from repro.core.strategies import RecomputePolicy
+from repro.core.search import PlannerContext, plan_policy
 from repro.experiments.common import ExperimentResult
 from repro.hardware.cluster import cluster_a
 from repro.model.spec import gpt3_175b
@@ -41,15 +40,12 @@ def run(fast: bool = False) -> ExperimentResult:
     for seq in SEQUENCE_LENGTHS:
         train = TrainingConfig(sequence_length=seq, global_batch_size=batch)
         ctx = PlannerContext(cluster, spec, train, PARALLEL)
-        boundaries = even_boundaries(len(ctx.layers), PARALLEL.pipeline_parallel)
         for policy, label in (
             (RecomputePolicy.FULL, "Full ReComp."),
             (RecomputePolicy.NONE, "No ReComp."),
         ):
-            evals = stage_costs_for_policy(
-                ctx.profiler, boundaries, ctx.layers, policy, ctx.hard_capacity_bytes
-            )
-            cells = [f"{gib(e.memory.total_bytes):.1f}" for e in evals]
+            stages = plan_policy(ctx, policy, label).stages
+            cells = [f"{gib(stage.memory.total_bytes):.1f}" for stage in stages]
             result.add_row(label, seq, *cells)
     result.add_note(f"hardware limit: {limit_gib:.0f} GiB per device")
     result.add_note(
@@ -67,12 +63,8 @@ def run(fast: bool = False) -> ExperimentResult:
             hidden_dropout=0.1,
         )
         ctx = PlannerContext(cluster, spec, train, PARALLEL)
-        boundaries = even_boundaries(len(ctx.layers), PARALLEL.pipeline_parallel)
-        evals = stage_costs_for_policy(
-            ctx.profiler, boundaries, ctx.layers, RecomputePolicy.NONE,
-            ctx.hard_capacity_bytes,
-        )
-        dropout_points.append(f"{seq}: {gib(evals[0].memory.total_bytes):.1f}")
+        stage0 = plan_policy(ctx, RecomputePolicy.NONE, "No ReComp.").stages[0]
+        dropout_points.append(f"{seq}: {gib(stage0.memory.total_bytes):.1f}")
     result.add_note(
         "No ReComp. stage-0 with hidden dropout 0.1 (GiB): "
         + ", ".join(dropout_points)

@@ -329,6 +329,30 @@ class TestCli:
             assert all(name in err for name in ALL_METHODS)
             assert captured.out == ""
 
+    def test_unknown_model_is_one_error_line(self, capsys, tmp_path):
+        """plan, replan, robustness and audit: one line naming the known
+        models, exit 2, nothing planned or read."""
+        from repro.experiments.cli import main
+
+        plan = [
+            "plan", "--model", "foo", "--devices", "2", "--tp", "1", "--pp", "2",
+            "--dp", "1", "--seq", "512", "--batch", "8",
+        ]
+        replan = [
+            "replan", "--model", "foo", "--plan", str(tmp_path / "missing.json"),
+            "--device-pool", "a100,a100",
+        ]
+        robustness = [
+            arg if arg != "bert-large" else "foo" for arg in self.ROBUSTNESS
+        ]
+        for argv in (plan, replan, robustness, ["audit", "--model", "foo"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            err = captured.err.strip()
+            assert err.startswith("error: unknown model 'foo'; known: [") and "\n" not in err
+            assert "'bert-large'" in err and "'gpt3-175b'" in err
+            assert captured.out == ""
+
     @pytest.mark.parametrize(
         "method", ["Chimera-Full", "Chimera-Non", "ChimeraD-Full", "ChimeraD-Non"]
     )

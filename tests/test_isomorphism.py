@@ -528,8 +528,8 @@ class TestPricersMatchTheirPerLayerLoops:
         scale = data.draw(st.sampled_from([1.0, 0.8, 1.3]))
         stage_layers = ctx.layers[i : j + 1]
         got = stage_eval_for_policy(
-            ctx.profiler, stage, stage_layers, policy, capacity, scale
-        )
+            ctx.profiler, stage, stage_layers, policy, capacity
+        ).scaled(scale)
         want = reference_policy_eval(
             ctx.profiler, stage, stage_layers, policy, capacity, scale
         )

@@ -328,7 +328,7 @@ class TestOnePhaseModel:
         totals = []
         for placement in placements:
             result = optimize_partition(
-                ctx.stage_evaluator(placement), 4, n, hop_time=hop
+                ctx.stage_evaluator(ctx.ranks(placement)), 4, n, hop_time=hop
             )
             assert result.feasible
             assert result.total_time == phase_model_time(result.stage_evals, n, hop)
@@ -524,7 +524,7 @@ def _real_evaluators(model: str, p: int, limit_gib: float, pooled: bool):
                 [classes[i] for i in placement]
                 for placement in enumerate_placements(classes, p)
             ]
-        sides.append((ctx, [ctx.stage_evaluator(pl) for pl in placements]))
+        sides.append((ctx, [ctx.stage_evaluator(ctx.ranks(pl)) for pl in placements]))
     return sides
 
 

@@ -12,11 +12,15 @@ The three load-bearing invariants:
   placement enumeration would have found the swap).
 """
 
+import functools
 import itertools
 
 import pytest
 
+from repro.baselines.extensions import plan_bpipe, plan_interleaved, plan_sqrt_checkpoint
+from repro.baselines.offload import OffloadModel, plan_offload
 from repro.config import ParallelConfig, TrainingConfig
+from repro.core.interleaved_adaptive import plan_interleaved_adaptive
 from repro.core.placement import (
     MAX_PLACEMENTS,
     apply_plan_placement,
@@ -38,7 +42,7 @@ from repro.core.strategies import RecomputePolicy
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.hardware.cluster import cluster_a
 from repro.hardware.device import a100_80gb, ascend910_32gb, derated
-from repro.model.spec import llama2_7b, tiny_gpt
+from repro.model.spec import bert_large, llama2_7b, tiny_gpt
 
 LIMIT = 8 * 1024**2
 
@@ -158,10 +162,106 @@ class TestPlacementSanity:
                     )
 
 
+#: Every planner that keeps the uniform partition: (planner, schedule its
+#: plans run under, model chunks per device).
+FIXED_PARTITION_PLANNERS = {
+    "Even Partitioning": (plan_even_partitioning, "1f1b", 1),
+    "DAPPLE-Full": (
+        functools.partial(
+            plan_policy, policy=RecomputePolicy.FULL, method="DAPPLE-Full"
+        ),
+        "1f1b",
+        1,
+    ),
+    "DAPPLE-Non": (
+        functools.partial(
+            plan_policy, policy=RecomputePolicy.NONE, method="DAPPLE-Non"
+        ),
+        "1f1b",
+        1,
+    ),
+    "Checkpoint-sqrtL": (plan_sqrt_checkpoint, "1f1b", 1),
+    "BPipe": (plan_bpipe, "1f1b", 1),
+    "Recompute+Offload": (plan_offload, "1f1b", 1),
+    "Interleaved-Full": (
+        functools.partial(plan_interleaved, policy=RecomputePolicy.FULL, chunks=2),
+        "interleaved",
+        2,
+    ),
+    "AdaPipe-Interleaved": (
+        functools.partial(plan_interleaved_adaptive, chunks=2),
+        "interleaved",
+        2,
+    ),
+}
+
+
+def _bert_ctx(cluster, p=4):
+    return PlannerContext(
+        cluster,
+        bert_large(),
+        TrainingConfig(sequence_length=2048, global_batch_size=16),
+        ParallelConfig(1, p, 1),
+    )
+
+
 class TestFixedPartitionPlacement:
     """Fixed-partition planners price a pool on its canonical placement, so
     their plans must name it: evaluation judges each rank's memory against
     the device the plan placed there."""
+
+    @pytest.mark.parametrize("name", sorted(FIXED_PARTITION_PLANNERS))
+    def test_a_slow_pool_scales_every_stage(self, name):
+        """On four parts 1.5x slower than nominal, every stage takes exactly
+        1.5x its poolless time and the same memory."""
+        planner, _, _ = FIXED_PARTITION_PLANNERS[name]
+        slow = derated(a100_80gb(), 1.5)
+        poolless = planner(_bert_ctx(cluster_a(1)))
+        pooled = planner(_bert_ctx(cluster_a(1).with_device_pool((slow,) * 4)))
+        assert pooled.metadata["placement"] == [0, 0, 0, 0]
+        assert pooled.metadata["placement_scales"] == [1.5] * 4
+        assert pooled.feasible == poolless.feasible
+        assert len(pooled.stages) == len(poolless.stages) > 0
+        for got, want in zip(pooled.stages, poolless.stages):
+            assert got.forward_time == 1.5 * want.forward_time
+            assert got.backward_time == 1.5 * want.backward_time
+            assert got.memory == want.memory
+            assert got.saved_unit_counts == want.saved_unit_counts
+
+    @pytest.mark.parametrize("name", sorted(FIXED_PARTITION_PLANNERS))
+    def test_more_stages_than_layers_is_the_infeasible_plan(self, name):
+        """tiny-gpt with two blocks has 6 layers: 8 ranks, or 4 ranks of 2
+        chunks each, leave no even split."""
+        planner, _, chunks = FIXED_PARTITION_PLANNERS[name]
+        train = TrainingConfig(sequence_length=128, global_batch_size=16)
+        spec = tiny_gpt(num_layers=2)
+        for p in (8, 4):
+            ctx = PlannerContext(cluster_a(1), spec, train, ParallelConfig(1, p, 1))
+            assert len(ctx.layers) == 6
+            plan = planner(ctx)
+            if chunks * p <= len(ctx.layers):
+                assert plan.stages
+                continue
+            assert not plan.feasible
+            assert plan.stages == ()
+            assert plan.modeled_iteration_time is None
+            assert plan.metadata["infeasible_reason"] == "more pipeline stages than layers"
+
+    def test_slow_link_offload_is_even_partitioning(self):
+        """A host link too slow to beat recomputation leaves offload with
+        Even Partitioning's knapsack, so on a pool it must simulate to Even
+        Partitioning's time (before placement it read 30% faster)."""
+        a100 = a100_80gb()
+        cluster = cluster_a(1).with_device_pool(
+            (a100, a100, derated(a100, 1.5), ascend910_32gb())
+        )
+        ctx = _bert_ctx(cluster)
+        offload = plan_offload(ctx, OffloadModel(bandwidth=12e9, overlap_fraction=0.3))
+        even = plan_even_partitioning(ctx)
+        assert offload.metadata["placement"] == even.metadata["placement"]
+        got = evaluate_plan(offload, cluster).iteration_time
+        want = evaluate_plan(even, cluster).iteration_time
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_plans_carry_the_placement_they_were_priced_on(self):
         a100 = a100_80gb()

@@ -136,7 +136,9 @@ class TestRefinementOnAPool:
         placed = {k: v for k, v in base.metadata.items() if k.startswith("placement")}
         assert placed["placement_scales"] != [1.0] * 4  # a mixed placement
         classes = device_classes(ctx.cluster)
-        evaluator = ctx.stage_evaluator([classes[i] for i in placed["placement"]])
+        evaluator = ctx.stage_evaluator(
+            ctx.ranks([classes[i] for i in placed["placement"]])
+        )
         with mock.patch.object(refine, "evaluate_plan", wraps=evaluate_plan) as spy:
             refined = refine_partition(ctx, base)
         candidates = [call.args[0] for call in spy.call_args_list[1:]]

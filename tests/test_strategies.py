@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.partition_dp import even_boundaries
-from repro.core.strategies import (
-    RecomputePolicy,
-    stage_costs_for_policy,
-    stage_eval_for_policy,
-)
+from repro.core.search import plan_policy
+from repro.core.strategies import RecomputePolicy, stage_eval_for_policy
 
 
 class TestPolicySemantics:
@@ -84,19 +80,12 @@ class TestStageEvaluation:
         )
         assert roomy.feasible and not cramped.feasible
 
-    def test_stage_costs_for_policy_covers_all_stages(self, gpt3_ctx):
+    def test_plan_policy_covers_all_stages(self, gpt3_ctx):
         p = gpt3_ctx.parallel.pipeline_parallel
-        boundaries = even_boundaries(len(gpt3_ctx.layers), p)
-        evals = stage_costs_for_policy(
-            gpt3_ctx.profiler,
-            boundaries,
-            gpt3_ctx.layers,
-            RecomputePolicy.FULL,
-            gpt3_ctx.hard_capacity_bytes,
-        )
-        assert len(evals) == p
+        stages = plan_policy(gpt3_ctx, RecomputePolicy.FULL, "DAPPLE-Full").stages
+        assert len(stages) == p
         # Later stages keep fewer in-flight micro-batches.
-        in_flight = [e.memory.in_flight_microbatches for e in evals]
+        in_flight = [stage.memory.in_flight_microbatches for stage in stages]
         assert in_flight == list(range(p, 0, -1))
 
     def test_saved_unit_counts_match_policy(self, gpt3_ctx):
