@@ -9,7 +9,10 @@ claims the ISSUE pins to CI:
   changed pool (so a replan is never worse than a cold search);
 * warm replans reuse >= 80% of their stage-eval demand in aggregate, and
   each individual replan re-evaluates < 50% of the cold sweep's inner-DP
-  invocations.
+  invocations;
+* the drift replan re-evaluates none: every rank keeps its memory budget,
+  and entries are nominal-speed, so the drifted rank's entries serve it at
+  its new slowdown.
 """
 
 from repro.experiments import heterogeneous
@@ -49,6 +52,12 @@ def test_warm_replan_reuse_floor(benchmark):
             f"{row['scenario']}: re-evaluated {row['inner_dp']} of "
             f"{row['cold_inner_dp']} cold inner-DP invocations"
         )
+
+    drift = next(row for row in replans if row["scenario"].startswith("slowdown drifts"))
+    assert drift["inner_dp"] == 0, (
+        f"drift re-evaluated {drift['inner_dp']} inner-DP invocations; the "
+        f"budget did not change, so every entry should have been reused"
+    )
 
     reused = sum(row["reused"] for row in replans)
     recomputed = sum(row["inner_dp"] for row in replans)

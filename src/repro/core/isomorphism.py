@@ -22,6 +22,13 @@ sizes differ. :class:`StageEvalCache` keys entries by that full
 fingerprint so a strategy sweep — and the several planners run per
 strategy — reuse inner-DP solutions instead of recomputing them per
 :class:`~repro.core.search.PlannerContext`.
+
+Every entry, local or shared, is the class priced at nominal speed. Of a
+pipeline rank, only its DP budget enters the key: the knapsack runs on
+nominal unit times, so a rank's compute scale cannot change its answer,
+and :meth:`StageEvaluator.evaluate` applies the scale after the lookup
+(:meth:`StageEval.scaled`). One knapsack per class and budget then serves
+every placement, every part speed and every drift.
 """
 
 from __future__ import annotations
@@ -314,11 +321,12 @@ def evaluator_fingerprint(profiler: Profiler, capacity_bytes: float) -> Tuple:
     reads enter the digest: the roofline device and the communication
     terms (intra/inter bandwidth, link latency, devices per node). Fleet
     *shape* — ``num_nodes``, ``name``, ``device_factors``, and the
-    heterogeneous ``device_pool`` — is deliberately invisible: a rank's
-    device class enters through the per-range key (compute scale +
-    capacity, see :meth:`StageEvaluator._key`), which is exactly what
-    lets an elastic replan on a shrunken/grown/drifted cluster reuse the
-    surviving entries (:mod:`repro.core.replan`).
+    heterogeneous ``device_pool`` — is deliberately invisible: of a rank's
+    device class, only its DP budget enters the per-range key (see
+    :meth:`StageEvaluator._key`), and its compute scale is applied to the
+    nominal entry after the lookup. That is what lets an elastic replan on
+    a shrunken, grown or drifted cluster reuse the surviving entries
+    (:mod:`repro.core.replan`).
     """
     parallel = profiler.parallel
     cluster = profiler.cluster
@@ -351,7 +359,6 @@ RANGE_KEY_FIELDS: Tuple[str, ...] = (
     "last",
     "attention",
     "ffn",
-    "rank_scale",
     "rank_capacity",
 )
 
@@ -371,13 +378,15 @@ class StageEvaluator:
         rank_compute_scales: optional per-pipeline-rank compute scale
             factors (heterogeneous placement): stage ``s``'s forward and
             backward times are multiplied by ``rank_compute_scales[s]``.
-            ``None`` means nominal (all 1.0). The scale is part of every
-            cache key, so evaluations under different device classes
-            never alias.
+            ``None`` means nominal (all 1.0). The scale is not part of any
+            cache key: both caches hold nominal entries, which
+            :meth:`evaluate` scales on the way out, so ranks of equal
+            budget share one knapsack per class whatever their speed.
         rank_capacities: optional per-pipeline-rank memory capacities in
             bytes; stage ``s``'s recomputation knapsack runs against
-            ``rank_capacities[s]`` instead of ``capacity_bytes``. Also
-            part of every cache key.
+            ``rank_capacities[s]`` instead of ``capacity_bytes``. Part of
+            every cache key, so ranks of different budgets never share an
+            entry.
     """
 
     def __init__(
@@ -434,8 +443,8 @@ class StageEvaluator:
         )
         self._last = len(self.layers) - 1
         # Per stage, the key terms no layer range changes: (in-flight
-        # count, rank scale, rank capacity). Filled on a stage's first key.
-        self._stage_terms: Dict[int, Tuple[int, float, float]] = {}
+        # count, rank capacity). Filled on a stage's first key.
+        self._stage_terms: Dict[int, Tuple[int, float]] = {}
 
     @property
     def num_layers(self) -> int:
@@ -453,10 +462,9 @@ class StageEvaluator:
             return self.rank_capacities[stage]
         return self.capacity_bytes
 
-    def _new_stage_terms(self, stage: int) -> Tuple[int, float, float]:
+    def _new_stage_terms(self, stage: int) -> Tuple[int, float]:
         terms = (
             self.memory_model.in_flight(stage),
-            self._rank_scale(stage),
             float(self._rank_capacity(stage)),
         )
         self._stage_terms[stage] = terms
@@ -468,11 +476,11 @@ class StageEvaluator:
         # matters through the in-flight micro-batch count, so keying on
         # that count makes classes line up across pipeline sizes — and
         # across schedule kinds that happen to agree on a stage's count.
-        # The rank's device class (compute scale + capacity) is part of
-        # the key: two placements putting different parts on the same
-        # stage must never alias, and a drifted slowdown must invalidate
-        # the old entry rather than silently reuse it.
-        in_flight, scale, capacity = (
+        # Of the rank, only its DP budget is part of the key: the
+        # knapsack runs on nominal unit times, so entries are nominal and
+        # the rank's compute scale is applied after the lookup. Ranks of
+        # one budget share an entry whatever their speed.
+        in_flight, capacity = (
             self._stage_terms.get(stage) or self._new_stage_terms(stage)
         )
         att = self._att_prefix
@@ -483,29 +491,27 @@ class StageEvaluator:
             j == self._last,
             att[j + 1] - att[i],
             ffn[j + 1] - ffn[i],
-            scale,
             capacity,
         )
 
     def evaluate(self, stage: int, i: int, j: int) -> StageEval:
-        """Optimal cost of layers ``i..j`` (inclusive) as stage ``stage``."""
+        """Optimal cost of layers ``i..j`` (inclusive) as stage ``stage``:
+        the class's nominal entry, scaled by the stage's rank."""
         key = self._key(stage, i, j)
-        cached = self._cache.get(key)
-        if cached is not None:
+        entry = self._cache.get(key)
+        if entry is None and self.shared_cache is not None:
+            entry = self.shared_cache.get(self._fingerprint + key)
+            if entry is not None:
+                self._cache[key] = entry
+        if entry is not None:
             self.cache_hits += 1
-            return cached
-        if self.shared_cache is not None:
-            shared = self.shared_cache.get(self._fingerprint + key)
-            if shared is not None:
-                self.cache_hits += 1
-                self._cache[key] = shared
-                return shared
-        self.cache_misses += 1
-        cached = self._evaluate_uncached(key, i, j)
-        self._cache[key] = cached
-        if self.shared_cache is not None:
-            self.shared_cache.put(self._fingerprint + key, cached)
-        return cached
+        else:
+            self.cache_misses += 1
+            entry = self._evaluate_uncached(key, i, j)
+            self._cache[key] = entry
+            if self.shared_cache is not None:
+                self.shared_cache.put(self._fingerprint + key, entry)
+        return entry.scaled(self._rank_scale(stage))
 
     @functools.cached_property
     def _class_codes(self) -> np.ndarray:
@@ -550,7 +556,8 @@ class StageEvaluator:
         return self.memory_model.recompute_buffer_bytes()
 
     def _evaluate_uncached(self, key: Tuple, i: int, j: int) -> StageEval:
-        """Price the class of ``key`` from its layer kinds' totals.
+        """Price the class of ``key`` at nominal speed from its layer kinds'
+        totals.
 
         :func:`stage_totals` sums each kind's count times its totals in
         kind order, so every member of an isomorphism class gets the same
@@ -558,7 +565,7 @@ class StageEvaluator:
         of the kinds the key does not carry and the parameter sum.
         """
         self.inner_dp_invocations += 1
-        in_flight, _, _, _, _, scale, capacity = key
+        in_flight, _, _, _, _, capacity = key
         totals = stage_totals(
             self.profiler,
             {kind: prefix[j + 1] - prefix[i] for kind, prefix in self._kind_prefix},
@@ -574,7 +581,8 @@ class StageEvaluator:
         )
         # The knapsack runs on nominal unit times: a uniform per-rank scale
         # multiplies every candidate's value identically, so the argmax is
-        # scale-invariant and only the resulting stage times need scaling.
+        # scale-invariant and only the resulting stage times need scaling,
+        # which evaluate() does after the lookup.
         if not result.feasible:
             return StageEval(
                 feasible=False,
@@ -583,7 +591,7 @@ class StageEvaluator:
                 saved_unit_counts={},
                 saved_bytes_per_microbatch=0.0,
                 memory=StageMemory(static, buffer, totals.always_bytes, in_flight),
-            ).scaled(scale)
+            )
 
         backward = totals.backward_fixed + totals.optional_value - result.saved_value
         saved_counts = dict(totals.always_counts)
@@ -603,4 +611,4 @@ class StageEvaluator:
             saved_unit_counts=saved_counts,
             saved_bytes_per_microbatch=saved_bytes,
             memory=memory,
-        ).scaled(scale)
+        )

@@ -96,8 +96,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, no cycle
 #: pickled to workers) or the name of a method in the baselines registry.
 PlannerRef = Union[str, Callable[[PlannerContext], PipelinePlan]]
 
-CHECKPOINT_FORMAT_VERSION = 4
-CACHE_FILE_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
+CACHE_FILE_FORMAT_VERSION = 5
 
 #: How long the coordinator waits on the result queue before checking
 #: worker liveness (a worker killed by the OOM killer would otherwise
@@ -226,7 +226,6 @@ _COLUMN_CHECKS: Dict[str, Tuple[Callable[[Sequence], bool], str]] = {
     "last": _FLAG,
     "attention": _COUNT,
     "ffn": _COUNT,
-    "rank_scale": _NUMBER,
     "rank_capacity": _NUMBER,
     "feasible": _FLAG,
     "forward": _NUMBER,

@@ -21,10 +21,11 @@ This module owns the combinatorics:
 
 The per-rank pricing itself lives in
 :class:`~repro.core.isomorphism.StageEvaluator` (compute scale multiplies
-stage times, per-rank capacity bounds the recomputation knapsack); the
-class identity ``(compute_scale, capacity)`` is part of every cached
-stage-evaluation key, which is what makes cross-placement — and
-cross-replan — cache reuse sound (ALGORITHMS.md section 14).
+stage times, per-rank capacity bounds the recomputation knapsack). Only
+the capacity is part of a cached stage-evaluation key: entries are
+nominal-speed and the compute scale is applied after the lookup, which
+is what makes cross-placement — and cross-replan — cache reuse sound
+(ALGORITHMS.md section 14).
 """
 
 from __future__ import annotations

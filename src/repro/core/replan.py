@@ -4,17 +4,19 @@ A running job's cluster is not static — a device drifts slow (thermal
 throttling), leaves (hardware fault, preemption), or joins (capacity
 freed). Searching the new cluster from scratch repeats almost all of the
 work the original search already did: stage evaluations are keyed by a
-content digest covering every input they depend on — model/workload
-profile, tensor/data-parallel sizes, in-flight count, layer multiset, and
-the rank's device class (compute scale + capacity) — and the evaluator
-fingerprint deliberately excludes fleet shape
-(:func:`repro.core.isomorphism.evaluator_fingerprint`). Entries touching
-only *surviving* device classes therefore stay valid verbatim, while
-entries under a drifted class miss (their key changed), so reuse is sound
-by construction: :func:`replan` simply re-runs the sweep against the
-surviving :class:`~repro.core.isomorphism.StageEvalCache` and lets the
-digest keys arbitrate. The warm plan is **bit-identical** to a cold
-search on the new cluster — cached values equal recomputed ones — which
+content digest covering every input the recomputation knapsack reads —
+model/workload profile, tensor/data-parallel sizes, in-flight count, layer
+multiset, and the rank's DP budget — and the evaluator fingerprint
+deliberately excludes fleet shape
+(:func:`repro.core.isomorphism.evaluator_fingerprint`). Every entry is the
+nominal-speed evaluation; a rank's compute scale multiplies it after the
+lookup. Entries under a surviving budget therefore stay valid verbatim,
+a drifted rank reuses them at its new slowdown, and only a changed budget
+misses, so reuse is sound by construction: :func:`replan` simply re-runs
+the sweep against the surviving
+:class:`~repro.core.isomorphism.StageEvalCache` and lets the digest keys
+arbitrate. The warm plan is **bit-identical** to a cold search on the new
+cluster — cached values equal recomputed ones — which
 ``tests/test_replan.py`` pins differentially.
 
 Scenario helpers build the common elastic transitions: a rank leaving
@@ -82,9 +84,10 @@ def replan(
     ``eval_cache`` must be the cache the surviving plan was searched with
     (or a cache restored from ``SweepConfig.cache_path`` /
     ``save_cache_file``); its digest-keyed entries are reused wherever
-    the new cluster's device classes match, which is what makes a
-    device-leave replan re-run well under half of the stage evaluations
-    of a cold search while returning a bit-identical best plan.
+    the new cluster's ranks keep a DP budget the cache was priced under,
+    whatever their speed, which is what makes a device-leave replan
+    re-run well under half of the stage evaluations of a cold search
+    while returning a bit-identical best plan.
 
     ``num_devices`` defaults to the elastic interpretation of the old
     strategy: keep the surviving plan's per-pipeline-rank device count
@@ -163,10 +166,11 @@ def pool_with_drift(
 ) -> ClusterSpec:
     """The cluster after pool slot ``rank`` drifts to ``slowdown`` x nominal.
 
-    The drifted part's device class changes, so every cached stage
-    evaluation priced under its old slowdown misses by key — drift can
-    never silently reuse stale costs (pinned by the drift regression in
-    ``tests/test_replan.py``).
+    The drifted part keeps its memory, so its DP budget and every cache
+    key it prices under are unchanged: a replan reuses the nominal entries
+    and scales them by the new slowdown, running no knapsack for the
+    drift, and never returns times priced under the old slowdown (pinned
+    by the drift regression in ``tests/test_replan.py``).
     """
     pool = _require_pool(cluster)
     if not 0 <= rank < len(pool):

@@ -166,9 +166,9 @@ class PlannerContext:
         Stage ``s`` is priced on ``ranks[s]`` (default: :meth:`ranks`,
         the nominal ranks): its compute scale multiplies the stage's times
         and its DP budget bounds the knapsack. All evaluators share
-        ``eval_cache``, and the rank's scale and budget are part of every
-        cache key, so evaluations flow across placements — and across
-        replans — without aliasing.
+        ``eval_cache``, which holds nominal-speed entries keyed by the
+        rank's budget, not its scale, so ranks of one budget share one
+        knapsack per class across placements, part speeds and replans.
         """
         if ranks is None:
             ranks = self.ranks()
@@ -244,8 +244,10 @@ def plan_adapipe(ctx: PlannerContext, method: str = "AdaPipe") -> PipelinePlan:
     canonical lexicographic order, and the strictly fastest feasible one
     wins, so ties resolve to the earliest placement, which makes the
     choice invariant under permutations of identical pool entries. All
-    placements share ``ctx.eval_cache`` (the rank class is in every key),
-    so isomorphic stages priced once are reused everywhere. When no
+    placements share ``ctx.eval_cache``, whose entries are nominal-speed
+    and keyed by the rank's DP budget, so a class is priced once per
+    budget and reused by every placement, whatever part serves the stage
+    (and by Even Partitioning, which prices the same entries). When no
     partition fits, the plan is the even partition priced on the first
     placement, and infeasible.
     """

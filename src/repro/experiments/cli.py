@@ -26,10 +26,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, TypeVar
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.pipeline.schedules import SCHEDULE_KINDS, schedule_family
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.config import ParallelConfig, TrainingConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -437,16 +440,30 @@ def _robust_select(args, cluster, feasible, nominal_strategy):
 _T = TypeVar("_T")
 
 
-def _lookup(find: Callable[[str], _T], name: str) -> Optional[_T]:
-    """``find(name)``, or None after one ``error:`` line for an unknown
-    ``--method`` or ``--model`` (the message names the known ones)."""
+def _checked(build: Callable[..., _T], *args: Any) -> Optional[_T]:
+    """``build(*args)``, or None after one ``error:`` line when it raises
+    :class:`~repro.config.ConfigError`: an unknown ``--method`` or
+    ``--model`` (the message names the known ones), or workload numbers
+    that do not make a workload (``--seq``/``--batch`` below 1, a batch
+    that ``--dp`` does not divide)."""
     from repro.config import ConfigError
 
     try:
-        return find(name)
+        return build(*args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+
+
+def _strategy(args, train: TrainingConfig) -> Optional[ParallelConfig]:
+    """The ``--tp/--pp/--dp`` strategy, checked to split ``train`` into
+    whole micro-batches; None after one ``error:`` line when it does not."""
+    from repro.config import ParallelConfig
+
+    parallel = _checked(ParallelConfig, args.tp, args.pp, args.dp)
+    if parallel is None or _checked(train.num_micro_batches, parallel) is None:
+        return None
+    return parallel
 
 
 def _unusable_file(exc: Exception) -> int:
@@ -564,7 +581,6 @@ def _cmd_plan_sweep(args, cluster, spec, train, limit) -> int:
 
 def _cmd_plan(args) -> int:
     from repro.baselines import evaluate_method, method_spec
-    from repro.config import ParallelConfig
     from repro.config import TrainingConfig
     from repro.core.isomorphism import StageEvalCache
     from repro.core.search import PlannerContext, enumerate_parallel_strategies
@@ -572,8 +588,11 @@ def _cmd_plan(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
-    spec = _lookup(model_by_name, args.model)
-    if spec is None or _lookup(method_spec, args.method) is None:
+    spec = _checked(model_by_name, args.model)
+    if spec is None or _checked(method_spec, args.method) is None:
+        return 2
+    train = _checked(TrainingConfig, args.seq, args.batch)
+    if train is None:
         return 2
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     cluster = make_cluster(max(1, args.devices // 8))
@@ -586,7 +605,6 @@ def _cmd_plan(args) -> int:
             f"device pool ({len(pool)} ranks): "
             + ", ".join(device.name for device in pool)
         )
-    train = TrainingConfig(sequence_length=args.seq, global_batch_size=args.batch)
     limit = (
         args.memory_limit_gib * 1024**3 if args.memory_limit_gib is not None else None
     )
@@ -612,7 +630,10 @@ def _cmd_plan(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        strategies = [ParallelConfig(args.tp, args.pp, args.dp)]
+        parallel = _strategy(args, train)
+        if parallel is None:
+            return 2
+        strategies = [parallel]
     else:
         strategies = enumerate_parallel_strategies(
             args.devices, cluster, spec, train
@@ -689,7 +710,7 @@ def _cmd_replan(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
-    spec = _lookup(model_by_name, args.model)
+    spec = _checked(model_by_name, args.model)
     if spec is None:
         return 2
     try:
@@ -759,7 +780,7 @@ def _cmd_replan(args) -> int:
 
 def _cmd_audit(args) -> int:
     from repro.baselines.extensions import plan_interleaved
-    from repro.config import ConfigError, ParallelConfig, TrainingConfig
+    from repro.config import ConfigError, TrainingConfig
     from repro.core.evaluate import build_schedule_for_plan
     from repro.core.search import PlannerContext, plan_adapipe
     from repro.core.strategies import RecomputePolicy
@@ -767,20 +788,19 @@ def _cmd_audit(args) -> int:
     from repro.model.spec import model_by_name
     from repro.pipeline.memory_audit import audit_schedule_memory
 
-    spec = _lookup(model_by_name, args.model)
+    spec = _checked(model_by_name, args.model)
     if spec is None:
         return 2
+    train = _checked(TrainingConfig, args.seq, args.batch)
+    parallel = None if train is None else _strategy(args, train)
+    if parallel is None:
+        return 2
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
-    devices = args.tp * args.pp * args.dp
-    cluster = make_cluster(max(1, devices // 8))
-    train = TrainingConfig(sequence_length=args.seq, global_batch_size=args.batch)
+    cluster = make_cluster(max(1, parallel.num_devices // 8))
     limit = (
         args.memory_limit_gib * 1024**3 if args.memory_limit_gib is not None else None
     )
-    ctx = PlannerContext(
-        cluster, spec, train, ParallelConfig(args.tp, args.pp, args.dp),
-        memory_limit_bytes=limit,
-    )
+    ctx = PlannerContext(cluster, spec, train, parallel, memory_limit_bytes=limit)
     plan = plan_adapipe(ctx)
     if not plan.feasible:
         print("planner found no feasible plan for this configuration")
@@ -828,7 +848,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_robustness(args) -> int:
     from repro.baselines import evaluate_method, method_spec
-    from repro.config import ParallelConfig, TrainingConfig
+    from repro.config import TrainingConfig
     from repro.core.evaluate import build_schedule_for_plan
     from repro.core.robust import cluster_perturbation, evaluate_robustness
     from repro.core.search import PlannerContext
@@ -836,21 +856,20 @@ def _cmd_robustness(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
 
-    spec = _lookup(model_by_name, args.model)
-    if spec is None or _lookup(method_spec, args.method) is None:
+    spec = _checked(model_by_name, args.model)
+    if spec is None or _checked(method_spec, args.method) is None:
+        return 2
+    train = _checked(TrainingConfig, args.seq, args.batch)
+    parallel = None if train is None else _strategy(args, train)
+    if parallel is None:
         return 2
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
-    devices = args.tp * args.pp * args.dp
-    cluster = make_cluster(max(1, devices // 8))
+    cluster = make_cluster(max(1, parallel.num_devices // 8))
     cluster = _parse_device_factors(args.device_factor, args.pp, cluster)
-    train = TrainingConfig(sequence_length=args.seq, global_batch_size=args.batch)
     limit = (
         args.memory_limit_gib * 1024**3 if args.memory_limit_gib is not None else None
     )
-    ctx = PlannerContext(
-        cluster, spec, train, ParallelConfig(args.tp, args.pp, args.dp),
-        memory_limit_bytes=limit,
-    )
+    ctx = PlannerContext(cluster, spec, train, parallel, memory_limit_bytes=limit)
     evaluation = evaluate_method(args.method, ctx)
     if evaluation.iteration_time is None:
         print("planner found no feasible plan for this configuration")

@@ -293,7 +293,7 @@ def _full_stage_eval():
     )
 
 
-_KEY = ("fingerprint", 600e9, 8, None) + (2, True, False, 1, 1, 1.0, 8.0e9)
+_KEY = ("fingerprint", 600e9, 8, None) + (2, True, False, 1, 1, 8.0e9)
 
 
 class TestCodecRoundTrips:

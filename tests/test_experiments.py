@@ -354,6 +354,34 @@ class TestCli:
             assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "workload, message",
+        [
+            (
+                ["--dp", "3", "--seq", "512", "--batch", "8"],
+                "global batch 8 not divisible by data parallel size 3",
+            ),
+            (["--dp", "1", "--seq", "512", "--batch", "0"], "global_batch_size must be >= 1"),
+            (["--dp", "1", "--seq", "0", "--batch", "8"], "sequence_length must be >= 1"),
+        ],
+        ids=["indivisible-batch", "zero-batch", "zero-seq"],
+    )
+    def test_bad_workload_numbers_are_one_error_line(self, capsys, workload, message):
+        """plan, robustness and audit: one line naming what does not fit,
+        exit 2, nothing planned."""
+        from repro.experiments.cli import main
+
+        strategy = ["--model", "bert-large", "--tp", "1", "--pp", "2", *workload]
+        for argv in (
+            ["plan", "--devices", "6", *strategy],
+            ["robustness", *strategy],
+            ["audit", *strategy],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.strip() == f"error: {message}"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "method", ["Chimera-Full", "Chimera-Non", "ChimeraD-Full", "ChimeraD-Non"]
     )
     def test_sweep_rejects_methods_not_scheduled_1f1b(self, method, capsys):

@@ -1,5 +1,6 @@
 """Tests for the isomorphism cache (Section 5.3)."""
 
+import dataclasses
 import functools
 import math
 from typing import Dict, List, Tuple
@@ -13,7 +14,12 @@ from repro.baselines.offload import OffloadModel, offload_stage_eval
 from repro.config import ParallelConfig, TrainingConfig
 from repro.core import isomorphism
 from repro.core.interleaved_adaptive import plan_interleaved_adaptive
-from repro.core.isomorphism import RANGE_KEY_FIELDS, StageEval, StageEvaluator
+from repro.core.isomorphism import (
+    RANGE_KEY_FIELDS,
+    StageEval,
+    StageEvalCache,
+    StageEvaluator,
+)
 from repro.core.recompute_dp import (
     RecomputeResult,
     UnitItem,
@@ -327,6 +333,53 @@ class TestClosedFormOracle:
                 b.forward.hex(),
                 b.backward.hex(),
             )
+
+
+def _bits(stage_eval: StageEval) -> Dict[str, object]:
+    """Every field of a stage evaluation, floats as ``float.hex``."""
+    fields = dataclasses.asdict(stage_eval)
+    fields.update(fields.pop("memory"))
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in fields.items()
+    }
+
+
+class TestNominalEntries:
+    """Entries are nominal: a rank's compute scale is applied after the
+    lookup, so it never enters a key."""
+
+    @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_entry_per_class_and_budget_at_any_scale(self, model, data):
+        ctx, stage, i, j, _, capacities = data.draw(_stage_ranges(model))
+        p = ctx.parallel.pipeline_parallel
+        scales = data.draw(
+            st.lists(st.floats(0.5, 4.0), min_size=2, max_size=4, unique=True)
+        )
+        budgets = [None] if capacities is None else [None, capacities]
+        shared = StageEvalCache()
+        for budget in budgets:
+            nominal = StageEvaluator(
+                ctx.profiler, ctx.layers, ctx.capacity_bytes, rank_capacities=budget
+            ).evaluate(stage, i, j)
+            for scale in scales:
+                evaluator = StageEvaluator(
+                    ctx.profiler,
+                    ctx.layers,
+                    ctx.capacity_bytes,
+                    shared_cache=shared,
+                    rank_compute_scales=[scale] * p,
+                    rank_capacities=budget,
+                )
+                got = evaluator.evaluate(stage, i, j)
+                assert _bits(got) == _bits(nominal.scaled(scale))
+        budget_keys = {
+            ctx.capacity_bytes if budget is None else budget[stage]
+            for budget in budgets
+        }
+        assert len(shared) == len(budget_keys)
 
 
 # -- the other pricers' per-layer loops, kept as oracles -----------------------

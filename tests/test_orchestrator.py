@@ -623,9 +623,9 @@ def _stage_eval(feasible=True, units=None, in_flight=2):
 def _entries():
     """Row 0 is feasible, row 1 infeasible (inf backward, no saved units)."""
     return [
-        (_FINGERPRINT + (2, True, False, 1, 1, 1.0, 8.0e9), _stage_eval()),
+        (_FINGERPRINT + (2, True, False, 1, 1, 8.0e9), _stage_eval()),
         (
-            _FINGERPRINT + (1, False, True, 2, 1, 1.3, 8.0e9),
+            _FINGERPRINT + (1, False, True, 2, 1, 8.0e9),
             _stage_eval(feasible=False, units={}, in_flight=1),
         ),
     ]
@@ -656,7 +656,6 @@ _BAD_CELLS = [
     (0, "forward", float("inf"), _NUMBER),
     (0, "backward", float("inf"), "finite in a feasible row"),
     (1, "backward", float("nan"), "a non-negative number or inf"),
-    (0, "rank_scale", float("nan"), _NUMBER),
     (1, "rank_capacity", float("inf"), _NUMBER),
     (0, "saved_bytes_per_microbatch", -1.0, _NUMBER),
     (0, "static_bytes", None, _NUMBER),
@@ -692,7 +691,6 @@ _RANGE_KEYS = st.tuples(
     st.booleans(),
     st.integers(0, 96),
     st.integers(0, 96),
-    st.floats(0.5, 4.0),
     st.floats(1e9, 1e11),
 )
 _SIZES = st.floats(0.0, 1e15)
@@ -759,12 +757,12 @@ class TestCacheFileFormat:
         path = tmp_path / "evals.json"
         _write_cache_file(path)
         document = json.loads(path.read_text())
-        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 4
+        assert document["format_version"] == CACHE_FILE_FORMAT_VERSION == 5
         assert document["fingerprints"] == [list(_FINGERPRINT)]
         feasible, infeasible = document["rows"]
         assert len(feasible) == len(_ROW_COLUMNS)
         assert feasible[: 1 + len(RANGE_KEY_FIELDS)] == [
-            0, 2, True, False, 1, 1, 1.0, 8.0e9
+            0, 2, True, False, 1, 1, 8.0e9
         ]
         # The value columns are the StageEval fields in order, with
         # memory expanded into the StageMemory fields.
@@ -794,11 +792,11 @@ class TestCacheFileFormat:
         [
             (
                 lambda d: d["rows"][1].pop(),
-                "cache row 1: want a list of 17 columns, got 16",
+                "cache row 1: want a list of 16 columns, got 15",
             ),
             (
                 lambda d: d["rows"].__setitem__(0, {}),
-                "cache row 0: want a list of 17 columns, got dict",
+                "cache row 0: want a list of 16 columns, got dict",
             ),
             (
                 lambda d: d.pop("rows"),
@@ -894,6 +892,7 @@ class TestCacheFileCli:
             {"format_version": 1, "entries": []},
             {"format_version": 2, "fingerprints": [], "rows": []},
             {"format_version": 3, "fingerprints": [], "rows": []},
+            {"format_version": 4, "fingerprints": [], "rows": []},
         ):
             old.write_text(json.dumps(document))
             for argv in (
@@ -905,7 +904,7 @@ class TestCacheFileCli:
                 err = capsys.readouterr().err.strip()
                 assert "\n" not in err
                 assert err.startswith(f"error: {old}: unsupported ")
-                assert f"version {document['format_version']} (want 4)" in err
+                assert f"version {document['format_version']} (want 5)" in err
                 assert "deleting the file makes the next run start cold" in err
 
     def test_unreadable_plan_cache_and_checkpoint_files_exit_2(self, tmp_path, capsys):

@@ -37,7 +37,8 @@ from repro.core.search import (
     plan_even_partitioning,
     plan_policy,
 )
-from repro.core.serialize import plan_signature
+from repro.core.isomorphism import StageEvalCache
+from repro.core.serialize import plan_signature, plan_to_dict
 from repro.core.strategies import RecomputePolicy
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.hardware.cluster import cluster_a
@@ -196,13 +197,31 @@ FIXED_PARTITION_PLANNERS = {
 }
 
 
-def _bert_ctx(cluster, p=4):
+def _bert_ctx(cluster, p=4, eval_cache=None):
     return PlannerContext(
         cluster,
         bert_large(),
         TrainingConfig(sequence_length=2048, global_batch_size=16),
         ParallelConfig(1, p, 1),
+        eval_cache=eval_cache,
     )
+
+
+#: Plan metadata that counts search work or wall clock, not a decision.
+_COUNTERS = (
+    "inner_dp_invocations",
+    "eval_cache_hits",
+    "eval_cache_misses",
+    "planning_seconds",
+)
+
+
+def _decisions(plan):
+    """The plan document without its search counters and wall clock."""
+    document = plan_to_dict(plan)
+    for key in _COUNTERS:
+        document["metadata"].pop(key, None)
+    return document
 
 
 class TestFixedPartitionPlacement:
@@ -262,6 +281,28 @@ class TestFixedPartitionPlacement:
         got = evaluate_plan(offload, cluster).iteration_time
         want = evaluate_plan(even, cluster).iteration_time
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_even_partitioning_entries_serve_adapipe_on_a_pool(self):
+        """Even Partitioning prices at nominal speed and AdaPipe scales after
+        the lookup, so on one shared cache AdaPipe reuses every entry Even
+        Partitioning left: the same plans as on their own caches, AdaPipe's
+        inner DPs fewer by Even Partitioning's, and no entry AdaPipe alone
+        would not have left."""
+        cluster = cluster_a(1).with_device_pool((derated(a100_80gb(), 1.5),) * 4)
+        alone = StageEvalCache()
+        even_alone = plan_even_partitioning(_bert_ctx(cluster, eval_cache=StageEvalCache()))
+        adapipe_alone = plan_adapipe(_bert_ctx(cluster, eval_cache=alone))
+        shared = StageEvalCache()
+        even = plan_even_partitioning(_bert_ctx(cluster, eval_cache=shared))
+        adapipe = plan_adapipe(_bert_ctx(cluster, eval_cache=shared))
+        assert _decisions(even) == _decisions(even_alone)
+        assert _decisions(adapipe) == _decisions(adapipe_alone)
+        assert even.metadata["inner_dp_invocations"] > 0
+        assert adapipe.metadata["inner_dp_invocations"] == (
+            adapipe_alone.metadata["inner_dp_invocations"]
+            - even.metadata["inner_dp_invocations"]
+        )
+        assert len(shared) == len(alone)
 
     def test_plans_carry_the_placement_they_were_priced_on(self):
         a100 = a100_80gb()
